@@ -8,7 +8,7 @@
 //! `REPEATS` runs (median, not mean: robust to CI scheduler noise).
 //!
 //! ```text
-//! cargo run --release -p dpbyz-bench --bin bench_baseline
+//! cargo run --release -p dpbyz-bench --bin bench_baseline [-- --out DIR]
 //! ```
 
 use dpbyz::gars::GarScratch;

@@ -11,6 +11,7 @@
 //!
 //! ```text
 //! cargo run --release -p dpbyz-bench --bin bench_gar          # full run
+//! cargo run --release -p dpbyz-bench --bin bench_gar -- --out DIR  # elsewhere
 //! cargo run --release -p dpbyz-bench --bin bench_gar -- --test # CI smoke
 //! ```
 

@@ -8,8 +8,10 @@
 //!
 //! Runs, in order: Figures 2–4, Table 1 (+ ResNet-50 example), the
 //! Theorem 1 scaling sweeps, the hyper-parameter sweep with ablations, and
-//! the §7 future-work measurements. All CSVs land in `results/`.
+//! the §7 future-work measurements. All CSVs land in `results/` under the
+//! current directory, or in `--out DIR`.
 
+use dpbyz_bench::{arg_present, arg_value};
 use std::process::Command;
 
 fn run(bin: &str, extra: &[&str]) -> bool {
@@ -29,19 +31,24 @@ fn run(bin: &str, extra: &[&str]) -> bool {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let extra: &[&str] = if quick { &["--quick"] } else { &[] };
+    let out = arg_value("--out");
+    let out_args: Vec<&str> = out.iter().flat_map(|dir| ["--out", dir.as_str()]).collect();
+    let mut extra = out_args.clone();
+    if arg_present("--quick") {
+        extra.push("--quick");
+    }
 
     let mut ok = true;
-    ok &= run("figures", extra);
-    ok &= run("table1", &["--resnet"]);
-    ok &= run("theorem1", extra);
-    ok &= run("sweep", extra);
-    ok &= run("futurework", extra);
+    ok &= run("figures", &extra);
+    ok &= run("table1", &[&["--resnet"], &out_args[..]].concat());
+    ok &= run("theorem1", &extra);
+    ok &= run("sweep", &extra);
+    ok &= run("futurework", &extra);
 
     println!("\n════════════════════════════════════════════════════════════");
     if ok {
-        println!("  all artefacts regenerated — CSVs in results/, summary in EXPERIMENTS.md");
+        let dir = out.as_deref().unwrap_or("results");
+        println!("  all artefacts regenerated — CSVs in {dir}/, summary in EXPERIMENTS.md");
     } else {
         println!("  some artefacts FAILED — see output above");
         std::process::exit(1);

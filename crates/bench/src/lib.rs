@@ -11,11 +11,11 @@
 //!   called out in DESIGN.md (attack visibility, momentum placement,
 //!   Laplace vs Gaussian noise).
 //!
-//! Results are written as CSV under `results/` and summarized on stdout
-//! with ASCII plots.
+//! Results are written as CSV under `results/` in the current directory
+//! (or `--out DIR`) and summarized on stdout with ASCII plots.
 
 use dpbyz::prelude::*;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// One cell of a figure's configuration grid. Attacks are named by
 /// registry id (resolved through the `dpbyz` component registry), so
@@ -190,11 +190,12 @@ pub fn run_cells(
         .collect())
 }
 
-/// Directory experiment CSVs are written to (created on demand).
+/// Directory experiment CSVs and bench JSON are written to (created on
+/// demand): the `--out DIR` argument, else `results/` under the current
+/// directory — never a path fixed at compile time, so a binary copied out
+/// of its checkout writes where it runs.
 pub fn results_dir() -> PathBuf {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results");
+    let dir = PathBuf::from(arg_value("--out").unwrap_or_else(|| "results".into()));
     std::fs::create_dir_all(&dir).expect("create results dir"); // lint:allow(panic-unwrap, reason = "bench harness I/O: failing to persist results should abort the run loudly")
     dir
 }

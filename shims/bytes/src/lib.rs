@@ -193,6 +193,13 @@ impl BytesMut {
     pub fn clear(&mut self) {
         self.data.clear();
     }
+
+    /// Resizes the buffer to `new_len` bytes, truncating or filling the
+    /// new tail with `value` — lets a codec size a frame once and then
+    /// write its payload in place.
+    pub fn resize(&mut self, new_len: usize, value: u8) {
+        self.data.resize(new_len, value);
+    }
 }
 
 impl Deref for BytesMut {
@@ -231,6 +238,16 @@ mod tests {
         assert_eq!(frozen.get_f64_le(), -2.5);
         assert_eq!(frozen.get_u64_le(), u64::MAX);
         assert!(frozen.is_empty());
+    }
+
+    #[test]
+    fn resize_fills_and_truncates() {
+        let mut buf = BytesMut::with_capacity(8);
+        buf.put_u32_le(0x0403_0201);
+        buf.resize(6, 0xAA);
+        assert_eq!(&buf[..], &[1, 2, 3, 4, 0xAA, 0xAA]);
+        buf.resize(2, 0);
+        assert_eq!(&buf[..], &[1, 2]);
     }
 
     #[test]

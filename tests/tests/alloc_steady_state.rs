@@ -10,6 +10,12 @@
 //! back half of the run must all be zero. Any clone-per-round regression
 //! in the worker loop, the wire codec, the server's round processing, the
 //! VN diagnostics, or the GAR scratch path fails this test immediately.
+//!
+//! The counter is process-wide, so the binary has no libtest harness
+//! (`harness = false`): libtest runs tests on parallel threads and does
+//! its own bookkeeping on others, and all of it would land in a cell's
+//! per-round deltas. [`main`] runs the cells one at a time instead, with
+//! nothing else in the process, and reports them as libtest does.
 
 use dpbyz::data::sampler::{BatchSource, DatasetSource, SamplingMode};
 use dpbyz::data::synthetic;
@@ -19,8 +25,10 @@ use dpbyz::models::{LogisticRegression, LossKind};
 use dpbyz::server::{FnObserver, ThreadedTrainer, Trainer, TrainingConfig};
 use dpbyz::tensor::Prng;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Counts every allocation event (alloc, alloc_zeroed, realloc) while
 /// delegating to the system allocator.
@@ -130,19 +138,16 @@ fn assert_steady_state_allocation_free(name: &str, counts: &[u64]) {
     }
 }
 
-#[test]
 fn average_cell_is_allocation_free_at_steady_state() {
     let counts = per_step_allocation_counts(Arc::new(Average::new()));
     assert_steady_state_allocation_free("average/gaussian", &counts);
 }
 
-#[test]
 fn krum_cell_is_allocation_free_at_steady_state() {
     let counts = per_step_allocation_counts(Arc::new(Krum::new()));
     assert_steady_state_allocation_free("krum/gaussian", &counts);
 }
 
-#[test]
 fn median_cell_is_allocation_free_at_steady_state() {
     let counts = per_step_allocation_counts(Arc::new(CoordinateMedian::new()));
     assert_steady_state_allocation_free("median/gaussian", &counts);
@@ -154,19 +159,16 @@ fn median_cell_is_allocation_free_at_steady_state() {
 // diagnostics all recycle round-trip through the channels, and
 // `encode_into`/`decode_into` reuse live buffers on both ends.
 
-#[test]
 fn threaded_average_cell_is_allocation_free_at_steady_state() {
     let counts = per_step_allocation_counts_on(Arc::new(Average::new()), true, 1);
     assert_steady_state_allocation_free("threaded/average/gaussian", &counts);
 }
 
-#[test]
 fn threaded_krum_cell_is_allocation_free_at_steady_state() {
     let counts = per_step_allocation_counts_on(Arc::new(Krum::new()), true, 1);
     assert_steady_state_allocation_free("threaded/krum/gaussian", &counts);
 }
 
-#[test]
 fn threaded_median_cell_is_allocation_free_at_steady_state() {
     let counts = per_step_allocation_counts_on(Arc::new(CoordinateMedian::new()), true, 1);
     assert_steady_state_allocation_free("threaded/median/gaussian", &counts);
@@ -178,19 +180,16 @@ fn threaded_median_cell_is_allocation_free_at_steady_state() {
 // through the worker channels and are recycled, so after the round-1
 // warm-up the parallel shard bodies allocate nothing.
 
-#[test]
 fn parallel_median_cell_is_allocation_free_at_steady_state() {
     let counts = per_step_allocation_counts_on(Arc::new(CoordinateMedian::new()), false, 4);
     assert_steady_state_allocation_free("median/gaussian/agg_threads=4", &counts);
 }
 
-#[test]
 fn parallel_krum_cell_is_allocation_free_at_steady_state() {
     let counts = per_step_allocation_counts_on(Arc::new(Krum::new()), false, 4);
     assert_steady_state_allocation_free("krum/gaussian/agg_threads=4", &counts);
 }
 
-#[test]
 fn threaded_parallel_median_cell_is_allocation_free_at_steady_state() {
     let counts = per_step_allocation_counts_on(Arc::new(CoordinateMedian::new()), true, 4);
     assert_steady_state_allocation_free("threaded/median/gaussian/agg_threads=4", &counts);
@@ -280,14 +279,111 @@ fn assert_steady_state_allocation_bounded(name: &str, counts: &[u64]) {
     }
 }
 
-#[test]
 fn tcp_average_cell_keeps_rounds_allocation_bounded() {
     let counts = per_step_allocation_counts_tcp(Arc::new(Average::new()));
     assert_steady_state_allocation_bounded("tcp/average/gaussian", &counts);
 }
 
-#[test]
 fn tcp_median_cell_keeps_rounds_allocation_bounded() {
     let counts = per_step_allocation_counts_tcp(Arc::new(CoordinateMedian::new()));
     assert_steady_state_allocation_bounded("tcp/median/gaussian", &counts);
+}
+
+// ---- the sequential harness --------------------------------------------
+
+/// Pairs each cell with its name, so the two cannot drift apart.
+macro_rules! cells {
+    ($($cell:ident),* $(,)?) => {
+        [$((stringify!($cell), $cell as fn())),*]
+    };
+}
+
+/// Every cell, under the name the suite reports it by.
+const CELLS: [(&str, fn()); 11] = cells![
+    average_cell_is_allocation_free_at_steady_state,
+    krum_cell_is_allocation_free_at_steady_state,
+    median_cell_is_allocation_free_at_steady_state,
+    threaded_average_cell_is_allocation_free_at_steady_state,
+    threaded_krum_cell_is_allocation_free_at_steady_state,
+    threaded_median_cell_is_allocation_free_at_steady_state,
+    parallel_median_cell_is_allocation_free_at_steady_state,
+    parallel_krum_cell_is_allocation_free_at_steady_state,
+    threaded_parallel_median_cell_is_allocation_free_at_steady_state,
+    tcp_average_cell_keeps_rounds_allocation_bounded,
+    tcp_median_cell_keeps_rounds_allocation_bounded,
+];
+
+/// libtest flags that take a value in the next argument.
+const VALUE_FLAGS: [&str; 4] = ["--test-threads", "--color", "--format", "--logfile"];
+
+/// Runs the selected cells in order on this thread and reports each in
+/// libtest's format. Accepts libtest's name filters, `--exact`, `--skip`,
+/// `--list` and `--ignored`; other flags (such as `--test-threads` or
+/// `-q`) do not apply and are ignored.
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let has = |flag: &str| args.iter().any(|a| a == flag);
+    let (mut filters, mut skips) = (Vec::new(), Vec::new());
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if arg == "--skip" {
+            skips.extend(rest.next());
+        } else if VALUE_FLAGS.contains(&arg.as_str()) {
+            rest.next();
+        } else if !arg.starts_with('-') {
+            filters.push(arg);
+        }
+    }
+    let matches = |name: &str, pattern: &str| {
+        if has("--exact") {
+            name == pattern
+        } else {
+            name.contains(pattern)
+        }
+    };
+    // No cell is ignored, so `--ignored` selects none.
+    let selected: Vec<_> = CELLS
+        .iter()
+        .filter(|_| !has("--ignored"))
+        .filter(|(name, _)| filters.is_empty() || filters.iter().any(|f| matches(name, f)))
+        .filter(|(name, _)| !skips.iter().any(|s| matches(name, s)))
+        .collect();
+    if has("--list") {
+        for (name, _) in &selected {
+            println!("{name}: test");
+        }
+        println!("\n{} tests, 0 benchmarks", selected.len());
+        return ExitCode::SUCCESS;
+    }
+    let start = Instant::now();
+    let plural = if selected.len() == 1 { "" } else { "s" };
+    println!("\nrunning {} test{plural}", selected.len());
+    let mut failed = Vec::new();
+    for &&(name, cell) in &selected {
+        if std::panic::catch_unwind(cell).is_ok() {
+            println!("test {name} ... ok");
+        } else {
+            println!("test {name} ... FAILED");
+            failed.push(name);
+        }
+    }
+    if !failed.is_empty() {
+        println!("\nfailures:");
+        for name in &failed {
+            println!("    {name}");
+        }
+    }
+    println!(
+        "\ntest result: {}. {} passed; {} failed; 0 ignored; 0 measured; {} filtered out; finished in {:.2}s\n",
+        if failed.is_empty() { "ok" } else { "FAILED" },
+        selected.len() - failed.len(),
+        failed.len(),
+        CELLS.len() - selected.len(),
+        start.elapsed().as_secs_f64(),
+    );
+    if failed.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(101)
+    }
 }
