@@ -17,29 +17,40 @@
 //!
 //! # The integrity tag
 //!
-//! The tag is a word-wise FNV-1a with four interleaved lanes, so it runs
-//! at memory speed instead of one multiply latency per byte:
+//! The tag is a word-wise hash with four interleaved lanes, so it runs
+//! near memory speed instead of one multiply latency per byte:
 //!
 //! 1. The tagged bytes are read as little-endian `u64` words; word `i`
 //!    goes to lane `i mod 4`. Each lane starts at the FNV-1a offset basis
-//!    and absorbs a word as `lane = (lane ^ word) * P` (wrapping, with
-//!    `P` the 64-bit FNV prime).
+//!    and absorbs a word as `lane = mix(lane ^ word)`, where `mix` is the
+//!    MurmurHash3 64-bit finalizer (xorshift 33, multiply, xorshift 33,
+//!    multiply, xorshift 33).
 //! 2. The four lanes fold in order into a fresh offset-basis state with
-//!    the same xor-then-multiply step.
+//!    the same xor-then-mix step.
 //! 3. The tail bytes that do not fill a word (the header's 12 bytes make
-//!    this 4 bytes for every frame) are absorbed one at a time, exactly
-//!    as byte-serial FNV-1a does.
+//!    this 4 bytes for every frame) are absorbed one at a time with the
+//!    same step.
 //!
 //! Every step is a bijection of the state: xoring a fixed input is one,
-//! and multiplying by the odd prime is one modulo 2⁶⁴. So a change
-//! confined to one word or one tail byte changes its lane (or the folded
-//! state), and every later step carries the difference to the tag. Any
-//! single-byte corruption anywhere in the frame — header, coordinates or
-//! tag — is therefore detected with certainty. The tag is a wire
-//! constant: builds with a different tag function reject each other's
-//! frames with [`MessageError::BadChecksum`]. It is not the run digest:
-//! [`RunHistory::digest`](crate::RunHistory::digest) is a separate
-//! byte-serial FNV-1a over the trajectory.
+//! and so is each part of `mix` (a right xorshift, and a multiply by an
+//! odd constant modulo 2⁶⁴). So a change confined to one word or one tail
+//! byte changes its lane (or the folded state), and every later step
+//! carries the difference to the tag. Any single-byte corruption anywhere
+//! in the frame — header, coordinates or tag — is therefore detected with
+//! certainty.
+//!
+//! `mix` also moves differences downward. A bare `(lane ^ word) * P`
+//! step would not: a multiply only carries upward, so a flip of a word's
+//! top bit stays exactly the lane's top bit, and a second top-bit flip
+//! four words later cancels it. The xorshifts feed high bits into low
+//! ones before each multiply, so every input bit reaches every tag bit;
+//! the tests check this, and that every two-bit corruption of small
+//! frames is rejected.
+//!
+//! The tag is a wire constant: builds with a different tag function
+//! reject each other's frames with [`MessageError::BadChecksum`]. It is
+//! not the run digest: [`RunHistory::digest`](crate::RunHistory::digest)
+//! is a separate byte-serial FNV-1a over the trajectory.
 //!
 //! Decode failures are typed ([`MessageError`]) so transports can
 //! distinguish a frame that merely arrived short ([`MessageError::ShortRead`])
@@ -135,31 +146,42 @@ impl std::error::Error for MessageError {}
 const HEADER: usize = 4 + 4 + 4;
 const TAG: usize = 8;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+/// Start value of every lane and of the fold: the FNV-1a offset basis.
+const TAG_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const TAG_LANES: usize = 4;
 
-/// One FNV-1a step: xor the input in, multiply by the prime.
-fn fnv_step(state: u64, input: u64) -> u64 {
-    (state ^ input).wrapping_mul(FNV_PRIME)
+/// The MurmurHash3 64-bit finalizer: a bijection in which every input
+/// bit reaches every output bit.
+fn mix(mut x: u64) -> u64 {
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    x ^ (x >> 33)
 }
 
-/// The frame integrity tag: 4-lane word-wise FNV-1a (see the module docs).
+/// One tag step: xor the input in, then mix.
+fn tag_step(state: u64, input: u64) -> u64 {
+    mix(state ^ input)
+}
+
+/// The frame integrity tag: 4-lane word-wise xor-then-mix (see the
+/// module docs).
 fn frame_tag(bytes: &[u8]) -> u64 {
     let (words, tail) = bytes.as_chunks::<8>();
     let (groups, rest) = words.as_chunks::<TAG_LANES>();
-    let mut lanes = [FNV_OFFSET; TAG_LANES];
+    let mut lanes = [TAG_BASIS; TAG_LANES];
     for group in groups {
         for (lane, word) in lanes.iter_mut().zip(group) {
-            *lane = fnv_step(*lane, u64::from_le_bytes(*word));
+            *lane = tag_step(*lane, u64::from_le_bytes(*word));
         }
     }
     for (lane, word) in lanes.iter_mut().zip(rest) {
-        *lane = fnv_step(*lane, u64::from_le_bytes(*word));
+        *lane = tag_step(*lane, u64::from_le_bytes(*word));
     }
-    let folded = lanes.into_iter().fold(FNV_OFFSET, fnv_step);
+    let folded = lanes.into_iter().fold(TAG_BASIS, tag_step);
     tail.iter()
-        .fold(folded, |state, &byte| fnv_step(state, u64::from(byte)))
+        .fold(folded, |state, &byte| tag_step(state, u64::from(byte)))
 }
 
 /// Reads `N` bytes at offset `at` of a peer-supplied frame, reporting a
@@ -188,13 +210,16 @@ fn encode_vec_frame(a: u32, b: u32, v: &Vector, buf: &mut BytesMut) {
     buf.put_u32_le(a);
     buf.put_u32_le(b);
     buf.put_u32_le(v.dim() as u32);
-    buf.resize(HEADER + v.dim() * 8, 0);
-    let (coords, _) = buf[HEADER..].as_chunks_mut::<8>();
+    // Size the whole frame at once, so a fresh buffer's capacity is
+    // exactly one frame rather than doubled by a later append.
+    let body_len = HEADER + v.dim() * 8;
+    buf.resize(body_len + TAG, 0);
+    let (body, tag) = buf.split_at_mut(body_len);
+    let (coords, _) = body[HEADER..].as_chunks_mut::<8>();
     for (bytes, &x) in coords.iter_mut().zip(v.iter()) {
         *bytes = x.to_le_bytes();
     }
-    let tag = frame_tag(buf);
-    buf.put_u64_le(tag);
+    tag.copy_from_slice(&frame_tag(body).to_le_bytes());
     // lint:end(zero-copy)
 }
 
@@ -608,20 +633,126 @@ mod tests {
         }
     }
 
+    #[test]
+    fn every_two_bit_flip_is_rejected_with_its_typed_error() {
+        // Two flips can cancel in a weak tag (a bare multiply keeps a
+        // word's top-bit flip in the lane's top bit, where a second one
+        // undoes it). Every pair over dims 0..=9 must still be rejected.
+        for dim in 0..=9u32 {
+            let coords = (0..dim).map(|j| f64::from(j) - 2.5).collect::<Vec<_>>();
+            let mut frame = GradientMessage::new(7, 3, Vector::from(coords))
+                .encode()
+                .to_vec();
+            let len = frame.len();
+            let mut gradient = Vector::default();
+            for first in 0..len * 8 {
+                for second in first + 1..len * 8 {
+                    let mut dim_mask = 0u32;
+                    for bit in [first, second] {
+                        frame[bit / 8] ^= 1 << (bit % 8);
+                        if (64..96).contains(&bit) {
+                            dim_mask |= 1 << (bit - 64);
+                        }
+                    }
+                    let declared = (dim ^ dim_mask) as usize;
+                    let expected = if dim_mask == 0 {
+                        MessageError::BadChecksum
+                    } else if declared > MAX_WIRE_DIM {
+                        MessageError::LengthOverflow {
+                            declared,
+                            limit: MAX_WIRE_DIM,
+                        }
+                    } else {
+                        MessageError::ShortRead {
+                            needed: HEADER + declared * 8 + TAG,
+                            got: len,
+                        }
+                    };
+                    assert_eq!(
+                        GradientMessage::decode_into(&frame, &mut gradient),
+                        Err(expected),
+                        "dim {dim}, bits {first} and {second}"
+                    );
+                    for bit in [first, second] {
+                        frame[bit / 8] ^= 1 << (bit % 8);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn top_bit_flips_of_word_pairs_are_rejected() {
+        // The top bit of each tagged 8-byte word and of each tail byte,
+        // on a frame long enough for many 4-word lane groups, paired with
+        // every other one and with the tag's own top bit (the frame's
+        // last byte).
+        let coords = (0..64)
+            .map(|j| f64::from(j) * 0.75 - 3.0)
+            .collect::<Vec<_>>();
+        let mut frame = GradientMessage::new(2, 5, Vector::from(coords))
+            .encode()
+            .to_vec();
+        let body_len = frame.len() - TAG;
+        let tops: Vec<usize> = (7..body_len)
+            .step_by(8)
+            .chain(body_len / 8 * 8..body_len)
+            .chain([frame.len() - 1])
+            .collect();
+        let mut gradient = Vector::default();
+        for (i, &a) in tops.iter().enumerate() {
+            for &b in &tops[i + 1..] {
+                frame[a] ^= 0x80;
+                frame[b] ^= 0x80;
+                assert_eq!(
+                    GradientMessage::decode_into(&frame, &mut gradient),
+                    Err(MessageError::BadChecksum),
+                    "bytes {a} and {b}"
+                );
+                frame[a] ^= 0x80;
+                frame[b] ^= 0x80;
+            }
+        }
+    }
+
+    #[test]
+    fn every_tagged_bit_reaches_both_halves_of_the_tag() {
+        // No tag bit may depend only on low input bits: each single-bit
+        // change to the tagged bytes moves at least 8 bits of each
+        // 32-bit half of the tag.
+        let coords = (0..9).map(|j| f64::from(j) - 2.5).collect::<Vec<_>>();
+        let frame = GradientMessage::new(7, 3, Vector::from(coords)).encode();
+        let mut body = frame[..frame.len() - TAG].to_vec();
+        let clean = frame_tag(&body);
+        for bit in 0..body.len() * 8 {
+            body[bit / 8] ^= 1 << (bit % 8);
+            let diff = frame_tag(&body) ^ clean;
+            body[bit / 8] ^= 1 << (bit % 8);
+            let (low, high) = ((diff as u32).count_ones(), (diff >> 32).count_ones());
+            assert!(low >= 8 && high >= 8, "bit {bit}: {diff:#018x}");
+        }
+    }
+
     /// The tag as the module docs specify it, one word at a time.
     fn reference_tag(bytes: &[u8]) -> u64 {
-        let mut lanes = [FNV_OFFSET; TAG_LANES];
+        fn step(state: u64, input: u64) -> u64 {
+            let mut x = state ^ input;
+            x = (x ^ (x >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+            x = (x ^ (x >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+            x ^ (x >> 33)
+        }
+        let mut lanes = [0xcbf2_9ce4_8422_2325; TAG_LANES];
         let words = bytes.len() / 8;
         for i in 0..words {
             let word = u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap());
-            lanes[i % TAG_LANES] = (lanes[i % TAG_LANES] ^ word).wrapping_mul(FNV_PRIME);
+            lanes[i % TAG_LANES] = step(lanes[i % TAG_LANES], word);
         }
-        let mut h = FNV_OFFSET;
+        let mut h = 0xcbf2_9ce4_8422_2325;
         for lane in lanes {
-            h = (h ^ lane).wrapping_mul(FNV_PRIME);
+            h = step(h, lane);
         }
         for &b in &bytes[words * 8..] {
-            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            h = step(h, u64::from(b));
         }
         h
     }
@@ -733,5 +864,5 @@ mod tests {
     ];
 
     /// The tag of the frame in `tag_is_a_pinned_wire_constant`.
-    const KNOWN_TAG: u64 = 0xbdeb_f64e_37af_2416;
+    const KNOWN_TAG: u64 = 0xb669_42fc_d180_9334;
 }

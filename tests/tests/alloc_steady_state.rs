@@ -313,75 +313,28 @@ const CELLS: [(&str, fn()); 11] = cells![
     tcp_median_cell_keeps_rounds_allocation_bounded,
 ];
 
-/// libtest flags that take a value in the next argument.
-const VALUE_FLAGS: [&str; 4] = ["--test-threads", "--color", "--format", "--logfile"];
-
-/// Runs the selected cells in order on this thread and reports each in
-/// libtest's format. Accepts libtest's name filters, `--exact`, `--skip`,
-/// `--list` and `--ignored`; other flags (such as `--test-threads` or
-/// `-q`) do not apply and are ignored.
+/// Runs every cell in order on this thread and reports each in
+/// libtest's line format. Command-line arguments (name filters,
+/// `--test-threads`, `-q`) are ignored: the whole binary takes seconds.
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let has = |flag: &str| args.iter().any(|a| a == flag);
-    let (mut filters, mut skips) = (Vec::new(), Vec::new());
-    let mut rest = args.iter();
-    while let Some(arg) = rest.next() {
-        if arg == "--skip" {
-            skips.extend(rest.next());
-        } else if VALUE_FLAGS.contains(&arg.as_str()) {
-            rest.next();
-        } else if !arg.starts_with('-') {
-            filters.push(arg);
-        }
-    }
-    let matches = |name: &str, pattern: &str| {
-        if has("--exact") {
-            name == pattern
-        } else {
-            name.contains(pattern)
-        }
-    };
-    // No cell is ignored, so `--ignored` selects none.
-    let selected: Vec<_> = CELLS
-        .iter()
-        .filter(|_| !has("--ignored"))
-        .filter(|(name, _)| filters.is_empty() || filters.iter().any(|f| matches(name, f)))
-        .filter(|(name, _)| !skips.iter().any(|s| matches(name, s)))
-        .collect();
-    if has("--list") {
-        for (name, _) in &selected {
-            println!("{name}: test");
-        }
-        println!("\n{} tests, 0 benchmarks", selected.len());
-        return ExitCode::SUCCESS;
-    }
     let start = Instant::now();
-    let plural = if selected.len() == 1 { "" } else { "s" };
-    println!("\nrunning {} test{plural}", selected.len());
-    let mut failed = Vec::new();
-    for &&(name, cell) in &selected {
+    println!("\nrunning {} tests", CELLS.len());
+    let mut failed = 0;
+    for (name, cell) in CELLS {
         if std::panic::catch_unwind(cell).is_ok() {
             println!("test {name} ... ok");
         } else {
             println!("test {name} ... FAILED");
-            failed.push(name);
-        }
-    }
-    if !failed.is_empty() {
-        println!("\nfailures:");
-        for name in &failed {
-            println!("    {name}");
+            failed += 1;
         }
     }
     println!(
-        "\ntest result: {}. {} passed; {} failed; 0 ignored; 0 measured; {} filtered out; finished in {:.2}s\n",
-        if failed.is_empty() { "ok" } else { "FAILED" },
-        selected.len() - failed.len(),
-        failed.len(),
-        CELLS.len() - selected.len(),
+        "\ntest result: {}. {} passed; {failed} failed; 0 ignored; 0 measured; 0 filtered out; finished in {:.2}s\n",
+        if failed == 0 { "ok" } else { "FAILED" },
+        CELLS.len() - failed,
         start.elapsed().as_secs_f64(),
     );
-    if failed.is_empty() {
+    if failed == 0 {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(101)
