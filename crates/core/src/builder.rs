@@ -296,7 +296,7 @@ impl ExperimentBuilder {
     }
 
     /// Selects the execution backend by registry id (`"sequential"`,
-    /// `"threaded"`, `"tcp"`, or any registered id, optionally with
+    /// `"sim"`, `"tcp"`, or any registered id, optionally with
     /// parameters via a full [`ComponentSpec`]). All backends are
     /// bit-identical on clean runs. The id is resolved at *run* time, not
     /// here: backends registered after `build()` (e.g. `dpbyz-net`'s
@@ -306,14 +306,6 @@ impl ExperimentBuilder {
     pub fn backend(mut self, backend: impl Into<ComponentSpec>) -> Self {
         self.backend = backend.into();
         self
-    }
-
-    /// Runs on the threaded engine instead of the sequential one (the two
-    /// are bit-identical; threaded pays thread overhead but exercises the
-    /// wire format). Sugar over [`backend`](Self::backend).
-    #[must_use]
-    pub fn threaded(self, threaded: bool) -> Self {
-        self.backend(if threaded { "threaded" } else { "sequential" })
     }
 
     /// Calibrates DP noise at a reference `G_max` different from the clip

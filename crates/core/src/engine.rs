@@ -1,19 +1,16 @@
 //! Execution-engine backends behind one registry of string ids.
 //!
 //! Every way of *running* an [`Experiment`] — the sequential zero-copy
-//! engine, the threaded engine, and out-of-process deployments like the
-//! TCP coordinator — implements [`EngineBackend`] and registers under a
-//! string id, exactly the registry idiom GARs, attacks, and mechanisms
+//! engine and the wire-protocol engines like the simulated network and
+//! the TCP coordinator — implements [`EngineBackend`] and registers under
+//! a string id, exactly the registry idiom GARs, attacks, and mechanisms
 //! use. The experiment stores a backend [`ComponentSpec`]; `run` resolves
 //! it at execution time, so backends registered by downstream crates
-//! (the `dpbyz-net` crate's `"tcp"`) participate with no changes here.
+//! (the `dpbyz-net` crate's `"sim"` and `"tcp"`) participate with no
+//! changes here.
 //!
-//! Built-ins:
-//!
-//! * `"sequential"` — [`Trainer`](dpbyz_server::Trainer), the golden
-//!   zero-copy reference engine;
-//! * `"threaded"` — [`ThreadedTrainer`], one pooled OS thread per honest
-//!   worker over the serialized wire format.
+//! The one built-in is `"sequential"` — [`Trainer`](dpbyz_server::Trainer),
+//! the golden zero-copy reference engine.
 //!
 //! Every backend must reproduce the reference engine's histories **bit
 //! for bit** on a clean run — that contract is what lets the pipeline
@@ -22,7 +19,7 @@
 
 use crate::pipeline::{Experiment, PipelineError};
 use crate::registry::{ComponentSpec, Registry, RegistryError};
-use dpbyz_server::{RunHistory, RunObserver, RunScratch, ThreadedTrainer};
+use dpbyz_server::{RunHistory, RunObserver, RunScratch};
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// An execution engine: turns an [`Experiment`] plus a seed into a
@@ -32,8 +29,9 @@ use std::sync::{Arc, OnceLock, RwLock};
 /// faults beyond what the experiment itself configures) the produced
 /// history must equal the sequential reference engine's exactly — same
 /// RNG-stream derivation, same arithmetic, same float bit patterns. The
-/// golden-history tests pin this for the in-process engines; the
-/// distributed digest tests pin it across process boundaries.
+/// golden-history tests pin this for the sequential engine and the
+/// simulated network; the distributed digest tests pin it across process
+/// boundaries.
 pub trait EngineBackend: Send + Sync {
     /// The backend's registered id (for diagnostics).
     fn name(&self) -> &str;
@@ -79,36 +77,10 @@ impl EngineBackend for SequentialBackend {
     }
 }
 
-/// The threaded in-process engine (`"threaded"`).
-struct ThreadedBackend;
-
-impl EngineBackend for ThreadedBackend {
-    fn name(&self) -> &str {
-        "threaded"
-    }
-
-    fn run(
-        &self,
-        exp: &Experiment,
-        seed: u64,
-        observer: Option<Box<dyn RunObserver>>,
-        scratch: &mut RunScratch,
-    ) -> Result<RunHistory, PipelineError> {
-        let mut trainer = exp.build_trainer()?;
-        if let Some(observer) = observer {
-            trainer = trainer.observer(observer);
-        }
-        Ok(ThreadedTrainer::from(trainer).run_with_scratch(seed, scratch)?)
-    }
-}
-
 fn built_in_backends() -> Registry<dyn EngineBackend> {
     let mut r = Registry::new();
     r.seed("sequential", |_| {
         Ok(Arc::new(SequentialBackend) as Arc<dyn EngineBackend>)
-    });
-    r.seed("threaded", |_| {
-        Ok(Arc::new(ThreadedBackend) as Arc<dyn EngineBackend>)
     });
     r
 }
@@ -167,9 +139,9 @@ mod tests {
 
     #[test]
     fn built_ins_present() {
-        let ids = backend_ids();
-        assert!(ids.contains(&"sequential".to_string()));
-        assert!(ids.contains(&"threaded".to_string()));
+        // Nothing in this crate registers a backend, so the built-ins are
+        // the whole registry.
+        assert_eq!(backend_ids(), ["sequential"]);
     }
 
     #[test]
@@ -189,9 +161,7 @@ mod tests {
 
     #[test]
     fn backends_are_buildable_and_named() {
-        for id in ["sequential", "threaded"] {
-            let backend = build_backend(&ComponentSpec::new(id)).unwrap();
-            assert_eq!(backend.name(), id);
-        }
+        let backend = build_backend(&ComponentSpec::new("sequential")).unwrap();
+        assert_eq!(backend.name(), "sequential");
     }
 }

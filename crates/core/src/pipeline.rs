@@ -131,8 +131,8 @@ pub struct Experiment {
     /// all other registered ids are always resolved as specified.
     pub mechanism: ComponentSpec,
     /// Execution backend, resolved through the engine-backend registry at
-    /// run time (`"sequential"`, `"threaded"`, or any registered id —
-    /// e.g. `"tcp"` once `dpbyz-net`'s `install()` has run). Resolution
+    /// run time (`"sequential"`, or any registered id — e.g. `"sim"` or
+    /// `"tcp"` once `dpbyz-net`'s `install()` has run). Resolution
     /// is deliberately deferred to `run`: backends registered after this
     /// experiment was built still resolve, and an unknown id surfaces as
     /// a [`PipelineError::Spec`] naming the available backends instead of
@@ -367,8 +367,8 @@ impl Experiment {
         let backend = crate::engine::build_backend(&self.backend).map_err(|e| match e {
             RegistryError::UnknownId { id, available } => PipelineError::Spec(format!(
                 "unknown engine backend `{id}`; available backends: [{}] \
-                 (in-process engines are built in; out-of-process backends \
-                 register at startup, e.g. dpbyz-net's install() for `tcp`)",
+                 (the sequential engine is built in; other backends \
+                 register at startup, e.g. dpbyz-net's install() for `sim` and `tcp`)",
                 available.join(", ")
             )),
             other => other.into(),
@@ -384,7 +384,7 @@ impl Experiment {
     /// the single construction path every execution backend shares — an
     /// engine that dismantles the returned trainer (e.g. via
     /// `Trainer::into_distributed_parts`) is guaranteed the same
-    /// components, in the same order, as the in-process engines.
+    /// components, in the same order, as the sequential engine.
     ///
     /// # Errors
     ///
@@ -590,15 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_backend_matches_sequential() {
-        let mut exp = quick_fig(10, Some(0.2), Some(AttackKind::PAPER_FOE), 8);
-        let seq = exp.run(2).unwrap();
-        exp.backend = "threaded".into();
-        let thr = exp.run(2).unwrap();
-        assert_eq!(seq, thr);
-    }
-
-    #[test]
     fn unknown_backend_is_a_spec_error_naming_available_ids() {
         let mut exp = quick_fig(10, None, None, 3);
         exp.backend = "smoke-signals".into();
@@ -606,7 +597,6 @@ mod tests {
             Err(PipelineError::Spec(msg)) => {
                 assert!(msg.contains("smoke-signals"), "{msg}");
                 assert!(msg.contains("sequential"), "{msg}");
-                assert!(msg.contains("threaded"), "{msg}");
             }
             other => panic!("expected Spec error, got {other:?}"),
         }

@@ -46,7 +46,7 @@ use dpbyz_attacks::{
 use dpbyz_dp::{GaussianMechanism, LaplaceMechanism, Mechanism, NoNoise, PrivacyBudget};
 use dpbyz_gars::{
     Average, Bucketing, Bulyan, CenteredClipping, CoordinateMedian, Gar, GeometricMedian, Krum,
-    Mda, Meamed, MultiKrum, Phocas, StalenessDamped, TrimmedMean,
+    Mda, Meamed, MultiKrum, Phocas, TrimmedMean,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -533,33 +533,6 @@ fn built_in_gars() -> Registry<dyn Gar> {
         })?;
         Ok(Arc::new(Bucketing::new(inner, s as usize)) as Arc<dyn Gar>)
     });
-    r.seed("staleness-damped", |spec| {
-        let lambda = spec.f64_or_reject("lambda", 0.5)?;
-        // NaN must take the Build-error path too, not the constructor's
-        // assert.
-        if lambda.is_nan() || lambda <= 0.0 || lambda > 1.0 {
-            return Err(RegistryError::Build {
-                id: "staleness-damped".into(),
-                message: format!("`lambda` must be in (0, 1], got {lambda}"),
-            });
-        }
-        // The inner rule is resolved through the registry exactly as
-        // `bucketing` resolves its wrapped rule: every parameter except
-        // this wrapper's own (`lambda`, `inner`) is forwarded, so e.g.
-        // `staleness-damped{inner: "centered-clipping", tau: 0.01}` tunes
-        // the inner radius instead of silently dropping it.
-        let mut inner_spec = ComponentSpec::new(spec.str_or_reject("inner", "median")?);
-        for (key, value) in &spec.params {
-            if key != "lambda" && key != "inner" {
-                inner_spec.params.insert(key.clone(), value.clone());
-            }
-        }
-        let inner = build_gar(&inner_spec).map_err(|e| RegistryError::Build {
-            id: "staleness-damped".into(),
-            message: format!("inner rule failed to resolve: {e}"),
-        })?;
-        Ok(Arc::new(StalenessDamped::new(inner, lambda)) as Arc<dyn Gar>)
-    });
     r
 }
 
@@ -836,12 +809,11 @@ mod tests {
             "geometric-median",
             "centered-clipping",
             "bucketing",
-            "staleness-damped",
         ] {
             let gar = build_gar(&ComponentSpec::new(id)).unwrap();
             assert_eq!(gar.name(), id);
         }
-        assert!(gar_ids().len() >= 13);
+        assert!(gar_ids().len() >= 12);
     }
 
     #[test]
@@ -926,45 +898,6 @@ mod tests {
             .err()
             .unwrap();
         assert!(matches!(err, RegistryError::Build { .. }));
-    }
-
-    #[test]
-    fn staleness_damped_factory_resolves_inner_rule_by_string_param() {
-        // Tolerance delegates at the same (n, f): median tolerates 5 of 11.
-        let default = build_gar(&ComponentSpec::new("staleness-damped")).unwrap();
-        assert_eq!(default.name(), "staleness-damped");
-        assert_eq!(default.max_byzantine(11), 5);
-
-        // Inner selected via a string param, recursively through the
-        // registry — including another meta-rule.
-        let mda = build_gar(&ComponentSpec::new("staleness-damped").with("inner", "mda")).unwrap();
-        assert_eq!(mda.max_byzantine(11), 5);
-        let bucketed =
-            build_gar(&ComponentSpec::new("staleness-damped").with("inner", "bucketing")).unwrap();
-        assert_eq!(bucketed.max_byzantine(11), 2); // median at ⌈11/2⌉ = 6
-
-        // Non-wrapper params reach the inner factory.
-        let err = build_gar(
-            &ComponentSpec::new("staleness-damped")
-                .with("inner", "centered-clipping")
-                .with("tau", -1.0),
-        )
-        .err()
-        .unwrap();
-        assert!(err.to_string().contains("tau"), "{err}");
-
-        // λ outside (0, 1] (or NaN) is a build error, not a panic.
-        for bad in [0.0, -0.5, 1.5, f64::NAN] {
-            let err = build_gar(&ComponentSpec::new("staleness-damped").with("lambda", bad))
-                .err()
-                .unwrap();
-            assert!(matches!(err, RegistryError::Build { .. }), "{err}");
-        }
-        // An unresolvable inner id surfaces as a build error naming it.
-        let err = build_gar(&ComponentSpec::new("staleness-damped").with("inner", "nope"))
-            .err()
-            .unwrap();
-        assert!(err.to_string().contains("nope"), "{err}");
     }
 
     #[test]

@@ -557,8 +557,8 @@ fn execute(
             scope.spawn(move || {
                 // One engine scratch per pool worker, reused across every
                 // (cell × seed) job this worker pulls: consecutive jobs
-                // recycle the round buffers, output slots, and (threaded)
-                // frame arena instead of rebuilding them per job. Reuse
+                // recycle the round buffers, output slots and parameter
+                // buffer instead of rebuilding them per job. Reuse
                 // is bit-invisible, so results stay identical to fresh
                 // per-job construction at any pool size.
                 let mut scratch = RunScratch::new();

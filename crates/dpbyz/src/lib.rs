@@ -141,7 +141,7 @@ pub mod scenarios {}
 // ---- engines and telemetry ----------------------------------------------
 pub use dpbyz_server::{
     AttackVisibility, BatchGrowth, ConfigError, FnObserver, LrSchedule, MomentumMode, RunHistory,
-    RunObserver, RunScratch, SeedSummary, StepMetrics, ThreadedTrainer, Trainer, TrainingConfig,
+    RunObserver, RunScratch, SeedSummary, StepMetrics, Trainer, TrainingConfig,
     TrainingConfigBuilder,
 };
 
@@ -162,9 +162,9 @@ pub use dpbyz_dp as dp;
 pub use dpbyz_gars as gars;
 /// Differentiable models and losses.
 pub use dpbyz_models as models;
-/// The multi-process distributed engine: TCP coordinator/worker
-/// deployment behind the `"tcp"` backend id (call
-/// [`net::install`] once to register it).
+/// The wire-protocol engines: the in-memory simulated network behind
+/// the `"sim"` backend id and the TCP coordinator/worker deployment
+/// behind `"tcp"` (call [`net::install`] once to register both).
 pub use dpbyz_net as net;
 /// The parameter-server simulator crate.
 pub use dpbyz_server as server;
@@ -227,7 +227,8 @@ mod tests {
     }
 
     #[test]
-    fn observed_threaded_run_matches_sequential() {
+    fn observed_sim_run_matches_sequential() {
+        crate::net::install();
         let mut exp = Experiment::builder()
             .steps(5)
             .dataset_size(250)
@@ -237,10 +238,10 @@ mod tests {
             .build()
             .unwrap();
         let seq = exp.run(2).unwrap();
-        exp.backend = "threaded".into();
+        exp.backend = "sim".into();
         let steps = Arc::new(Mutex::new(0u32));
         let counter = steps.clone();
-        let thr = exp
+        let sim = exp
             .run_with_observer(
                 2,
                 Box::new(FnObserver::new(move |_m: &StepMetrics<'_>| {
@@ -248,7 +249,7 @@ mod tests {
                 })),
             )
             .unwrap();
-        assert_eq!(seq, thr);
+        assert_eq!(seq, sim);
         assert_eq!(*steps.lock().unwrap(), 5);
     }
 }

@@ -20,9 +20,8 @@
 //! **Allocation-freedom.** The crate forbids `unsafe`, so persistent
 //! threads cannot borrow the round's gradients; instead each shard's
 //! inputs are packed into an owned [`ShardTask`] that round-trips through
-//! the worker's command/reply channel pair and is recycled afterwards —
-//! the same leased-packet idiom as the threaded engine's wire-frame
-//! arena. After the first parallel round every buffer (task values,
+//! the worker's command/reply channel pair and is recycled afterwards.
+//! After the first parallel round every buffer (task values,
 //! outputs, per-thread sort scratch, channel queues) has warmed to the
 //! topology's shape and steady-state rounds allocate nothing, pinned by
 //! `tests/tests/alloc_steady_state.rs`.
@@ -137,7 +136,7 @@ enum Command {
 }
 
 /// One persistent worker: a command/reply bounded-channel pair and the
-/// join handle — the same shape as the threaded engine's `WorkerPool`.
+/// join handle.
 struct PoolThread {
     cmd_tx: Sender<Command>,
     reply_rx: Receiver<ShardTask>,

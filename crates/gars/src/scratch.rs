@@ -63,14 +63,6 @@ pub struct GarScratch {
     /// Nested scratch handed to a meta-rule's inner GAR (boxed so the
     /// recursive type has a fixed size; allocated once, reused forever).
     pub(crate) nested: Option<Box<GarScratch>>,
-    /// Per-submission staleness ages (rounds late) consumed by the
-    /// `staleness-damped` meta-rule — set by the caller via
-    /// [`GarScratch::set_submission_ages`] before the aggregate call.
-    /// Empty (the default) means "every submission is fresh".
-    pub(crate) ages: Vec<u32>,
-    /// Damped copies of the submissions for the `staleness-damped`
-    /// meta-rule (reused across rounds like `buckets`).
-    pub(crate) weighted: Vec<Vector>,
     /// Extension buffers reserved for out-of-tree implementations.
     ext_scalars: Vec<f64>,
     ext_indices: Vec<usize>,
@@ -103,24 +95,6 @@ impl GarScratch {
     /// rules never touch it.
     pub fn vector(&mut self) -> &mut Vector {
         &mut self.ext_vector
-    }
-
-    /// Records the per-submission staleness ages the `staleness-damped`
-    /// meta-rule folds into its next aggregate call: `ages[i]` is how many
-    /// rounds late submission `i` arrived (`0` = fresh). The ages persist
-    /// until the next `set_submission_ages` call — callers admitting late
-    /// gradients set them every round. An empty slice (the default state)
-    /// means every submission is fresh, in which case the meta-rule
-    /// delegates to its inner rule untouched.
-    pub fn set_submission_ages(&mut self, ages: &[u32]) {
-        self.ages.clear();
-        self.ages.extend_from_slice(ages);
-    }
-
-    /// The currently recorded per-submission staleness ages (empty =
-    /// all fresh). See [`GarScratch::set_submission_ages`].
-    pub fn submission_ages(&self) -> &[u32] {
-        &self.ages
     }
 
     /// Sets the intra-round aggregation parallelism used by the sharded

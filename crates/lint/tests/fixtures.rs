@@ -185,9 +185,7 @@ fn determinism_rules_cover_the_chaos_transport_files() {
 /// state (`GradGuard`'s window) that the replay contract depends on, so
 /// `protocol.rs` sits in *both* scopes — determinism (no wall clock,
 /// no ambient RNG, no unordered maps deciding admission) and hostile
-/// input (it still parses peer-controlled bytes). The staleness-damped
-/// meta-GAR is covered by the `crates/gars/src/` prefix, never by
-/// enumeration.
+/// input (it still parses peer-controlled bytes).
 #[test]
 fn determinism_rules_cover_the_staleness_admission_files() {
     for rule in [
@@ -199,10 +197,6 @@ fn determinism_rules_cover_the_staleness_admission_files() {
             rules::rule_applies(rule, "crates/net/src/protocol.rs"),
             "{rule} must cover the wire codec's admission guard"
         );
-        assert!(
-            rules::rule_applies(rule, "crates/gars/src/staleness.rs"),
-            "{rule} must cover the staleness-damped meta-GAR"
-        );
     }
     for rule in [rules::RULE_EXPLICIT_PANIC, rules::RULE_INDEXING] {
         assert!(
@@ -210,10 +204,6 @@ fn determinism_rules_cover_the_staleness_admission_files() {
             "{rule}: the codec keeps parsing hostile bytes"
         );
     }
-    assert!(
-        rules::rule_applies(rules::RULE_ZERO_COPY, "crates/gars/src/staleness.rs"),
-        "zero-copy regions must be honoured in the damped aggregation path"
-    );
 }
 
 /// The acceptance gate: the actual workspace lints clean. Every remaining

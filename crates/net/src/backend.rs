@@ -1,6 +1,6 @@
 //! The `"tcp"` execution backend: one coordinator, `n_honest` worker
 //! sessions over localhost TCP, behind the same [`EngineBackend`] trait
-//! as the in-process engines.
+//! as the sequential engine.
 //!
 //! [`install`] registers it; afterwards `exp.backend = "tcp".into()`
 //! routes [`Experiment::run`] through real sockets. Worker sessions run

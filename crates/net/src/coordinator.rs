@@ -6,8 +6,8 @@
 //! * the **machine** decides *when* — joins, warmups, step advances,
 //!   straggler drops, aborts — from events and virtual time alone;
 //! * the **core** decides *what* — forgeries, fault semantics,
-//!   aggregation, the model update — exactly as the in-process engines
-//!   drive it, which is what makes the TCP run's history bit-identical;
+//!   aggregation, the model update — exactly as the sequential engine
+//!   drives it, which is what makes the TCP run's history bit-identical;
 //! * this transport only moves bytes between the two.
 //!
 //! Churn handling: a dead socket is **not** permanent. The transport

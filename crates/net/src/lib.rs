@@ -23,7 +23,7 @@
 //! [`Experiment::build_trainer`](dpbyz_core::pipeline::Experiment::build_trainer)
 //! path, and the coordinator feeds
 //! [`ServerCore::process_round`](dpbyz_server::ServerCore::process_round)
-//! exactly what the in-process engines would — so a fixed-seed TCP run
+//! exactly what the sequential engine would — so a fixed-seed TCP run
 //! reproduces the sequential engine's
 //! [`RunHistory`](dpbyz_server::RunHistory) byte for byte (the
 //! integration tests and the CI smoke step pin the digest).

@@ -11,8 +11,7 @@
 //! layouts of [`dpbyz_server::message::GradientMessage`] /
 //! [`dpbyz_server::message::StepMessage`] wherever a vector travels, so transport
 //! corruption is caught by the same typed
-//! [`MessageError`]s the in-process engines
-//! test against.
+//! [`MessageError`]s the codec's own tests pin.
 //!
 //! Reading is built for the coordinator's nonblocking single-threaded
 //! loop: [`FrameReader`] owns one recycled `Vec<u8>`, fills it from the

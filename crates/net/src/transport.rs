@@ -5,7 +5,7 @@
 //! the TCP plumbing: poll the transport for decoded [`Event`]s, feed
 //! them (and virtual time) to the [`RoundStateMachine`], and execute the
 //! [`Action`]s it emits against the shared [`ServerCore`] — exactly as
-//! the in-process engines drive it, which is what makes every backend's
+//! the sequential engine drives it, which is what makes every backend's
 //! [`RunHistory`] bit-identical per seed. A [`Transport`] owns *how*
 //! bytes move (sockets, or [`SimNet`](crate::sim::SimNet)'s seeded fault
 //! plan); it decodes frames, attributes them to worker slots, and
@@ -122,7 +122,7 @@ pub trait Transport {
 ///
 /// `core` comes from
 /// [`Trainer::into_distributed_parts`](dpbyz_server::Trainer::into_distributed_parts);
-/// buffers recycle through `scratch` exactly as the in-process engines
+/// buffers recycle through `scratch` exactly as the sequential engine's
 /// do, on **every** exit path.
 ///
 /// # Errors

@@ -21,7 +21,7 @@ fn attacked_experiment() -> Experiment {
 /// history. The digest is additionally pinned so a silent cross-engine
 /// drift (all three moving together) still fails loudly.
 #[test]
-fn tcp_engine_is_bit_identical_to_sequential_and_threaded() {
+fn tcp_engine_is_bit_identical_to_sequential_and_sim() {
     dpbyz_net::install();
     let seed = 17;
 
@@ -29,13 +29,13 @@ fn tcp_engine_is_bit_identical_to_sequential_and_threaded() {
     exp.backend = ComponentSpec::new("sequential");
     let sequential = exp.run(seed).unwrap();
 
-    exp.backend = ComponentSpec::new("threaded");
-    let threaded = exp.run(seed).unwrap();
+    exp.backend = ComponentSpec::new("sim");
+    let sim = exp.run(seed).unwrap();
 
     exp.backend = ComponentSpec::new("tcp");
     let tcp = exp.run(seed).unwrap();
 
-    assert_eq!(sequential, threaded);
+    assert_eq!(sequential, sim);
     assert_eq!(sequential, tcp);
     assert_eq!(tcp.digest(), sequential.digest());
     assert_eq!(

@@ -7,25 +7,19 @@
 //! stochastic gradients and pass them through a local DP randomizer before
 //! submission (Eq. 7).
 //!
-//! Two execution engines produce **bit-identical** histories given the same
-//! [`TrainingConfig`] and seed:
+//! [`Trainer`] is the sequential, zero-copy reference engine: the round
+//! hot path (worker batch/gradient buffers, the server's submission set,
+//! GAR scratch) is recycled across rounds, so steady-state rounds perform
+//! **no** heap allocation. Other engines (the `dpbyz-net` transports)
+//! take the trainer apart with [`Trainer::into_distributed_parts`] and
+//! drive the same [`ServerCore`] over the [`message`] wire format
+//! (integrity-tagged, as Remark 1's channels are), so every engine
+//! produces **bit-identical** histories given the same
+//! [`TrainingConfig`] and seed.
 //!
-//! * [`Trainer`] — sequential, zero-copy: the round hot path (worker
-//!   batch/gradient buffers, the server's submission set, GAR scratch)
-//!   is recycled across rounds, so steady-state rounds perform **no**
-//!   heap allocation;
-//! * [`ThreadedTrainer`] — one OS thread per worker wired to the server
-//!   with crossbeam channels, exchanging the serialized
-//!   [`message::GradientMessage`] wire format (integrity-tagged, as
-//!   Remark 1's channels are); shares `ServerCore` and the workers'
-//!   buffer recycling, and leases its wire frames from a per-worker
-//!   frame arena recycled round-trip through the channels — steady-state
-//!   rounds allocate nothing on this engine either.
-//!
-//! Both engines additionally accept a [`RunScratch`]
-//! (`run_with_scratch`), recycling the whole working set across
-//! *consecutive runs* — how the sweep executor's pool workers process
-//! their (cell × seed) jobs.
+//! [`Trainer::run_with_scratch`] additionally accepts a [`RunScratch`],
+//! recycling the whole working set across *consecutive runs* — how the
+//! sweep executor's pool workers process their (cell × seed) jobs.
 //!
 //! # Example
 //!
@@ -71,7 +65,6 @@ pub mod message;
 mod metrics;
 mod observer;
 mod schedule;
-mod threaded;
 mod trainer;
 mod worker;
 
@@ -81,6 +74,5 @@ pub use config::{
 pub use metrics::{ChurnStats, RunHistory, SeedSummary};
 pub use observer::{FnObserver, RunObserver, StepMetrics};
 pub use schedule::LrSchedule;
-pub use threaded::ThreadedTrainer;
 pub use trainer::{derive_streams, RunScratch, ServerCore, Trainer};
 pub use worker::{HonestWorker, WorkerOutput};

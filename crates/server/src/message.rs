@@ -59,35 +59,22 @@
 //! otherwise ask the decoder to allocate gigabytes) from one that parsed
 //! but failed integrity ([`MessageError::BadChecksum`]).
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use dpbyz_tensor::Vector;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// A gradient submission from one worker for one step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GradientMessage {
-    /// Sender id in `0..n`.
-    pub worker_id: u32,
-    /// Training step `t`.
-    pub step: u32,
-    /// The submitted gradient.
-    pub gradient: Vector,
-}
+/// The codec of a worker's gradient submission: header words
+/// `(worker_id, step)` followed by the submitted gradient.
+#[derive(Debug)]
+pub struct GradientMessage;
 
-/// The server→worker broadcast opening a round: the current model
-/// parameters plus the step and batch size the worker must compute with.
-/// Same framing and integrity discipline as [`GradientMessage`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StepMessage {
-    /// Training step `t` this broadcast opens.
-    pub step: u32,
-    /// Batch size the worker must sample this step (the schedule lives on
-    /// the server, so growing-batch configs need it on the wire).
-    pub batch_size: u32,
-    /// The broadcast model parameters.
-    pub params: Vector,
-}
+/// The codec of the server→worker broadcast opening a round: header
+/// words `(step, batch_size)` — the batch schedule lives on the server,
+/// so growing-batch configs need it on the wire — followed by the
+/// current model parameters. Same framing and integrity discipline as
+/// [`GradientMessage`].
+#[derive(Debug)]
+pub struct StepMessage;
 
 /// Largest coordinate count a decoder will accept. Caps what a corrupted
 /// or hostile length prefix can make `decode_into` allocate (2²⁴ × 8 B =
@@ -267,40 +254,21 @@ fn decode_vec_frame(frame: &[u8], v: &mut Vector) -> Result<(u32, u32), MessageE
 }
 
 impl GradientMessage {
-    /// Creates a message.
-    pub fn new(worker_id: u32, step: u32, gradient: Vector) -> Self {
-        GradientMessage {
-            worker_id,
-            step,
-            gradient,
-        }
-    }
-
-    /// Encodes to a framed byte buffer with integrity tag.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(HEADER + self.gradient.dim() * 8 + TAG);
-        self.encode_into(&mut buf);
-        buf.freeze()
-    }
-
-    /// Encodes into a caller-provided buffer — the frame-arena hot path
-    /// the threaded engine drives every round. The buffer is cleared
-    /// first and its allocation is reused, so at steady state (same
-    /// dimension every round) encoding performs no heap allocation.
-    /// Byte-identical to [`GradientMessage::encode`], tag included.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
-        Self::encode_frame(self.worker_id, self.step, &self.gradient, buf);
-    }
-
-    /// Encodes a frame without owning the gradient — the by-reference
-    /// counterpart of [`GradientMessage::encode_into`], byte-identical to
-    /// it. The TCP transport drives this so a live [`Vector`] can be
-    /// framed without moving it out of its arena.
+    /// Encodes a `(worker_id, step, gradient)` frame into a caller-provided
+    /// buffer. The buffer is cleared first and its allocation is reused,
+    /// so at steady state (same dimension every round) encoding performs
+    /// no heap allocation. The gradient is read by reference, so a live
+    /// [`Vector`] is framed without moving it out of its arena.
     pub fn encode_frame(worker_id: u32, step: u32, gradient: &Vector, buf: &mut BytesMut) {
         encode_vec_frame(worker_id, step, gradient, buf);
     }
 
-    /// Decodes and verifies a framed byte buffer.
+    /// Decodes and verifies a frame into a caller-provided gradient
+    /// buffer, returning the `(worker_id, step)` header fields. The live
+    /// [`Vector`] is resized in place (a no-op at steady state) and
+    /// refilled in one pass. The integrity tag covers header and payload,
+    /// and a mismatch rejects the frame after parsing. On error the
+    /// gradient buffer is left in an unspecified but valid state.
     ///
     /// # Errors
     ///
@@ -308,77 +276,18 @@ impl GradientMessage {
     /// [`MessageError::LengthOverflow`] if the declared coordinate count
     /// exceeds [`MAX_WIRE_DIM`], [`MessageError::BadChecksum`] if the
     /// integrity tag mismatches.
-    pub fn decode(frame: Bytes) -> Result<Self, MessageError> {
-        let mut gradient = Vector::default();
-        let (worker_id, step) = Self::decode_into(&frame, &mut gradient)?;
-        Ok(GradientMessage {
-            worker_id,
-            step,
-            gradient,
-        })
-    }
-
-    /// Decodes and verifies a frame into a caller-provided gradient
-    /// buffer, returning the `(worker_id, step)` header fields — the
-    /// allocation-free counterpart of [`GradientMessage::decode`]: the
-    /// live [`Vector`] is resized in place (a no-op at steady state) and
-    /// refilled in one pass. Checksum semantics are identical: the
-    /// integrity tag covers header and payload, and a
-    /// mismatch rejects the frame after parsing, exactly as `decode`
-    /// does. On error the gradient buffer is left in an unspecified but
-    /// valid state.
-    ///
-    /// # Errors
-    ///
-    /// As [`GradientMessage::decode`].
     pub fn decode_into(frame: &[u8], gradient: &mut Vector) -> Result<(u32, u32), MessageError> {
         decode_vec_frame(frame, gradient)
     }
 }
 
 impl StepMessage {
-    /// Creates a broadcast message.
-    pub fn new(step: u32, batch_size: u32, params: Vector) -> Self {
-        StepMessage {
-            step,
-            batch_size,
-            params,
-        }
-    }
-
-    /// Encodes to a framed byte buffer with integrity tag.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(HEADER + self.params.dim() * 8 + TAG);
-        self.encode_into(&mut buf);
-        buf.freeze()
-    }
-
-    /// Encodes into a caller-provided (cleared, recycled) buffer —
-    /// byte-identical to [`StepMessage::encode`].
-    pub fn encode_into(&self, buf: &mut BytesMut) {
-        Self::encode_frame(self.step, self.batch_size, &self.params, buf);
-    }
-
-    /// Encodes a frame without owning the parameters — what the
-    /// coordinator drives every round, framing the server's live
-    /// parameter vector straight out of the trainer core.
+    /// Encodes a `(step, batch_size, params)` frame into a cleared,
+    /// recycled buffer — what the coordinator drives every round, framing
+    /// the server's live parameter vector straight out of the trainer
+    /// core.
     pub fn encode_frame(step: u32, batch_size: u32, params: &Vector, buf: &mut BytesMut) {
         encode_vec_frame(step, batch_size, params, buf);
-    }
-
-    /// Decodes and verifies a framed byte buffer.
-    ///
-    /// # Errors
-    ///
-    /// As [`GradientMessage::decode`].
-    pub fn decode(frame: Bytes) -> Result<Self, MessageError> {
-        let mut params = Vector::default();
-        let (step, batch_size) = Self::decode_into(&frame, &mut params)?;
-        Ok(StepMessage {
-            step,
-            batch_size,
-            params,
-        })
     }
 
     /// Decodes and verifies a frame into a caller-provided parameter
@@ -388,7 +297,7 @@ impl StepMessage {
     ///
     /// # Errors
     ///
-    /// As [`GradientMessage::decode`].
+    /// As [`GradientMessage::decode_into`].
     pub fn decode_into(frame: &[u8], params: &mut Vector) -> Result<(u32, u32), MessageError> {
         decode_vec_frame(frame, params)
     }
@@ -399,52 +308,54 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Encodes a gradient frame into a fresh buffer.
+    fn gradient_frame(worker_id: u32, step: u32, coords: &[f64]) -> BytesMut {
+        let mut frame = BytesMut::default();
+        GradientMessage::encode_frame(worker_id, step, &Vector::from(coords), &mut frame);
+        frame
+    }
+
+    /// Decodes a gradient frame into a fresh vector.
+    fn decode_gradient(frame: &[u8]) -> Result<(u32, u32, Vector), MessageError> {
+        let mut gradient = Vector::default();
+        let (worker_id, step) = GradientMessage::decode_into(frame, &mut gradient)?;
+        Ok((worker_id, step, gradient))
+    }
+
     #[test]
     fn roundtrip() {
-        let msg = GradientMessage::new(3, 42, Vector::from(vec![1.5, -2.25, 0.0]));
-        let decoded = GradientMessage::decode(msg.encode()).unwrap();
-        assert_eq!(decoded, msg);
+        let gradient = Vector::from(vec![1.5, -2.25, 0.0]);
+        let frame = gradient_frame(3, 42, gradient.as_slice());
+        assert_eq!(decode_gradient(&frame).unwrap(), (3, 42, gradient));
     }
 
     #[test]
     fn zero_copy_roundtrip_reuses_buffers() {
-        // The frame-arena path: encode into a recycled BytesMut, decode
-        // into a dirty live Vector — byte- and bit-identical to the
-        // allocating encode/decode pair.
-        let msg = GradientMessage::new(3, 42, Vector::from(vec![1.5, -2.25, 0.0]));
+        // The recycled-buffer path: encode into a dirty BytesMut, decode
+        // into a dirty live Vector — byte- and bit-identical to encoding
+        // and decoding with fresh buffers.
+        let gradient = Vector::from(vec![1.5, -2.25, 0.0]);
         let mut frame = BytesMut::with_capacity(4);
-        frame.put_u32_le(0xDEAD_BEEF); // dirty: encode_into must clear
-        msg.encode_into(&mut frame);
-        assert_eq!(&frame[..], &msg.encode()[..]);
-        let mut gradient = Vector::from(vec![9.0; 7]); // dirty, wrong dim
-        let (id, step) = GradientMessage::decode_into(&frame, &mut gradient).unwrap();
+        frame.put_u32_le(0xDEAD_BEEF); // dirty: encode_frame must clear
+        GradientMessage::encode_frame(3, 42, &gradient, &mut frame);
+        assert_eq!(&frame[..], &gradient_frame(3, 42, gradient.as_slice())[..]);
+        let mut decoded = Vector::from(vec![9.0; 7]); // dirty, wrong dim
+        let (id, step) = GradientMessage::decode_into(&frame, &mut decoded).unwrap();
         assert_eq!((id, step), (3, 42));
-        assert_eq!(gradient, msg.gradient);
+        assert_eq!(decoded, gradient);
         // Second round through the SAME buffers.
-        let msg2 = GradientMessage::new(4, 43, Vector::from(vec![0.25, 7.0, -1.0]));
-        msg2.encode_into(&mut frame);
-        let (id, step) = GradientMessage::decode_into(&frame, &mut gradient).unwrap();
+        let gradient2 = Vector::from(vec![0.25, 7.0, -1.0]);
+        GradientMessage::encode_frame(4, 43, &gradient2, &mut frame);
+        let (id, step) = GradientMessage::decode_into(&frame, &mut decoded).unwrap();
         assert_eq!((id, step), (4, 43));
-        assert_eq!(gradient, msg2.gradient);
-    }
-
-    #[test]
-    fn encode_frame_matches_encode_into() {
-        let msg = GradientMessage::new(9, 17, Vector::from(vec![0.5, -0.5]));
-        let mut owned = BytesMut::default();
-        msg.encode_into(&mut owned);
-        let mut borrowed = BytesMut::default();
-        GradientMessage::encode_frame(9, 17, &msg.gradient, &mut borrowed);
-        assert_eq!(&owned[..], &borrowed[..]);
+        assert_eq!(decoded, gradient2);
     }
 
     #[test]
     fn empty_gradient_roundtrip() {
-        let msg = GradientMessage::new(0, 0, Vector::zeros(0));
-        assert_eq!(GradientMessage::decode(msg.encode()).unwrap(), msg);
+        let frame = gradient_frame(0, 0, &[]);
+        assert_eq!(decode_gradient(&frame).unwrap(), (0, 0, Vector::zeros(0)));
         let mut gradient = Vector::from(vec![1.0]);
-        let mut frame = BytesMut::default();
-        msg.encode_into(&mut frame);
         assert_eq!(
             GradientMessage::decode_into(&frame, &mut gradient).unwrap(),
             (0, 0)
@@ -454,19 +365,24 @@ mod tests {
 
     #[test]
     fn step_message_roundtrip() {
-        let msg = StepMessage::new(7, 25, Vector::from(vec![1.0, -0.125, 3.5]));
-        assert_eq!(StepMessage::decode(msg.encode()).unwrap(), msg);
-        // Buffer-reusing path agrees bit for bit.
+        let params = Vector::from(vec![1.0, -0.125, 3.5]);
         let mut frame = BytesMut::default();
-        msg.encode_into(&mut frame);
-        let mut params = Vector::from(vec![0.0; 9]); // dirty, wrong dim
-        let (step, batch) = StepMessage::decode_into(&frame, &mut params).unwrap();
+        StepMessage::encode_frame(7, 25, &params, &mut frame);
+        let mut decoded = Vector::default();
+        assert_eq!(
+            StepMessage::decode_into(&frame, &mut decoded).unwrap(),
+            (7, 25)
+        );
+        assert_eq!(decoded, params);
+        // Buffer-reusing path agrees bit for bit.
+        let mut reused = BytesMut::default();
+        reused.put_u32_le(0xDEAD_BEEF); // dirty: encode_frame must clear
+        StepMessage::encode_frame(7, 25, &params, &mut reused);
+        assert_eq!(&frame[..], &reused[..]);
+        let mut dirty = Vector::from(vec![0.0; 9]); // dirty, wrong dim
+        let (step, batch) = StepMessage::decode_into(&reused, &mut dirty).unwrap();
         assert_eq!((step, batch), (7, 25));
-        assert_eq!(params, msg.params);
-        // By-reference framing is byte-identical.
-        let mut by_ref = BytesMut::default();
-        StepMessage::encode_frame(7, 25, &msg.params, &mut by_ref);
-        assert_eq!(&frame[..], &by_ref[..]);
+        assert_eq!(dirty, params);
     }
 
     #[test]
@@ -474,16 +390,15 @@ mod tests {
         // Same header words + same vector ⇒ same bytes: the two codecs
         // are one layout, so transport-level buffer handling is shared.
         let v = Vector::from(vec![2.0, 4.0]);
-        let g = GradientMessage::new(1, 2, v.clone()).encode();
-        let s = StepMessage::new(1, 2, v).encode();
+        let g = gradient_frame(1, 2, v.as_slice());
+        let mut s = BytesMut::default();
+        StepMessage::encode_frame(1, 2, &v, &mut s);
         assert_eq!(&g[..], &s[..]);
     }
 
     #[test]
     fn detects_truncation() {
-        let msg = GradientMessage::new(1, 2, Vector::from(vec![1.0, 2.0]));
-        let mut frame = BytesMut::default();
-        msg.encode_into(&mut frame);
+        let frame = gradient_frame(1, 2, &[1.0, 2.0]);
         let mut gradient = Vector::default();
         // Cut inside the payload: the declared dim no longer fits.
         assert_eq!(
@@ -498,9 +413,9 @@ mod tests {
             GradientMessage::decode_into(b"xy", &mut gradient),
             Err(MessageError::ShortRead { needed: 20, got: 2 })
         );
-        // The legacy Bytes-consuming path reports the same.
+        // The step codec reports the same.
         assert_eq!(
-            GradientMessage::decode(Bytes::from_static(b"xy")),
+            StepMessage::decode_into(b"xy", &mut gradient),
             Err(MessageError::ShortRead { needed: 20, got: 2 })
         );
     }
@@ -511,9 +426,7 @@ mod tests {
         // rejected before the decoder allocates for it. Build a frame
         // whose dim field is absurd but whose total length passes the
         // header+tag minimum.
-        let msg = GradientMessage::new(1, 2, Vector::from(vec![1.0, 2.0]));
-        let mut frame = BytesMut::default();
-        msg.encode_into(&mut frame);
+        let mut frame = gradient_frame(1, 2, &[1.0, 2.0]);
         frame[8..12].copy_from_slice(&(u32::MAX).to_le_bytes());
         let mut gradient = Vector::default();
         assert_eq!(
@@ -533,8 +446,7 @@ mod tests {
         // and check the typed rejection. Length-affecting corruption
         // surfaces as ShortRead/LengthOverflow (caught before the
         // checksum); value corruption surfaces as BadChecksum.
-        let msg = GradientMessage::new(5, 11, Vector::from(vec![1.0, -2.0]));
-        let clean = msg.encode();
+        let clean = gradient_frame(5, 11, &[1.0, -2.0]);
         let mut gradient = Vector::default();
         let mut corrupt = |at: usize, bit: u8| {
             let mut frame = clean.to_vec();
@@ -568,9 +480,7 @@ mod tests {
 
     #[test]
     fn detects_corruption() {
-        let msg = GradientMessage::new(1, 2, Vector::from(vec![1.0, 2.0]));
-        let mut frame = BytesMut::default();
-        msg.encode_into(&mut frame);
+        let mut frame = gradient_frame(1, 2, &[1.0, 2.0]);
         frame[HEADER + 3] ^= 0xFF; // flip a payload bit in the arena
         let mut gradient = Vector::default();
         assert_eq!(
@@ -583,9 +493,7 @@ mod tests {
     fn detects_header_tampering() {
         // Flipping the worker id must break the tag: authentication-ish
         // integrity over the whole frame.
-        let msg = GradientMessage::new(1, 2, Vector::from(vec![1.0]));
-        let mut frame = BytesMut::default();
-        msg.encode_into(&mut frame);
+        let mut frame = gradient_frame(1, 2, &[1.0]);
         frame[0] ^= 0x01;
         let mut gradient = Vector::default();
         assert_eq!(
@@ -601,7 +509,7 @@ mod tests {
         // (full 4-word groups, leftover words, tail bytes) sees a flip.
         for dim in 0..=9u32 {
             let coords = (0..dim).map(|j| f64::from(j) - 2.5).collect::<Vec<_>>();
-            let clean = GradientMessage::new(7, 3, Vector::from(coords)).encode();
+            let clean = gradient_frame(7, 3, &coords);
             let mut gradient = Vector::default();
             for at in 0..clean.len() {
                 for bit in 0..8 {
@@ -640,9 +548,7 @@ mod tests {
         // undoes it). Every pair over dims 0..=9 must still be rejected.
         for dim in 0..=9u32 {
             let coords = (0..dim).map(|j| f64::from(j) - 2.5).collect::<Vec<_>>();
-            let mut frame = GradientMessage::new(7, 3, Vector::from(coords))
-                .encode()
-                .to_vec();
+            let mut frame = gradient_frame(7, 3, &coords).to_vec();
             let len = frame.len();
             let mut gradient = Vector::default();
             for first in 0..len * 8 {
@@ -690,9 +596,7 @@ mod tests {
         let coords = (0..64)
             .map(|j| f64::from(j) * 0.75 - 3.0)
             .collect::<Vec<_>>();
-        let mut frame = GradientMessage::new(2, 5, Vector::from(coords))
-            .encode()
-            .to_vec();
+        let mut frame = gradient_frame(2, 5, &coords).to_vec();
         let body_len = frame.len() - TAG;
         let tops: Vec<usize> = (7..body_len)
             .step_by(8)
@@ -721,7 +625,7 @@ mod tests {
         // change to the tagged bytes moves at least 8 bits of each
         // 32-bit half of the tag.
         let coords = (0..9).map(|j| f64::from(j) - 2.5).collect::<Vec<_>>();
-        let frame = GradientMessage::new(7, 3, Vector::from(coords)).encode();
+        let frame = gradient_frame(7, 3, &coords);
         let mut body = frame[..frame.len() - TAG].to_vec();
         let clean = frame_tag(&body);
         for bit in 0..body.len() * 8 {
@@ -762,7 +666,7 @@ mod tests {
         // Dim 4: a 44-byte body is one full 4-word group, one leftover
         // word and 4 tail bytes. A change to this value is a wire-format
         // break: peers built before it reject every frame.
-        let frame = GradientMessage::new(1, 2, Vector::from(vec![1.0, -2.0, 0.5, 0.0])).encode();
+        let frame = gradient_frame(1, 2, &[1.0, -2.0, 0.5, 0.0]);
         let body_len = frame.len() - TAG;
         let tag = u64::from_le_bytes(frame[body_len..].try_into().unwrap());
         for len in 0..=frame.len() {
@@ -809,15 +713,18 @@ mod tests {
             step in 0u32..100_000,
             coords in proptest::collection::vec(-1e9..1e9f64, 0..64),
         ) {
-            let msg = GradientMessage::new(id, step, Vector::from(coords));
-            prop_assert_eq!(GradientMessage::decode(msg.encode()).unwrap(), msg.clone());
+            let sent = Vector::from(coords);
+            let frame = gradient_frame(id, step, sent.as_slice());
+            prop_assert_eq!(decode_gradient(&frame).unwrap(), (id, step, sent.clone()));
             // The buffer-reusing path agrees bit for bit.
-            let mut frame = BytesMut::default();
-            msg.encode_into(&mut frame);
+            let mut reused = BytesMut::default();
+            reused.put_u32_le(0xDEAD_BEEF);
+            GradientMessage::encode_frame(id, step, &sent, &mut reused);
+            prop_assert_eq!(&reused[..], &frame[..]);
             let mut gradient = Vector::from(vec![5.0; 3]);
-            let header = GradientMessage::decode_into(&frame, &mut gradient).unwrap();
-            prop_assert_eq!(header, (msg.worker_id, msg.step));
-            prop_assert_eq!(gradient, msg.gradient);
+            let header = GradientMessage::decode_into(&reused, &mut gradient).unwrap();
+            prop_assert_eq!(header, (id, step));
+            prop_assert_eq!(gradient, sent);
         }
 
         #[test]
@@ -832,8 +739,7 @@ mod tests {
                 .zip(&picks)
                 .map(|(&b, &p)| SPECIALS.get(p).copied().unwrap_or(f64::from_bits(b)))
                 .collect();
-            let msg = GradientMessage::new(1, 9, Vector::from(coords.clone()));
-            let frame = msg.encode();
+            let frame = gradient_frame(1, 9, &coords);
             // Same bytes as the per-coordinate layout.
             let mut reference = BytesMut::default();
             reference.put_u32_le(1);

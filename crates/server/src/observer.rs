@@ -2,8 +2,8 @@
 //! while training runs, instead of only the post-hoc [`RunHistory`].
 //!
 //! Observers hang off [`Trainer::observer`](crate::Trainer::observer) and
-//! are invoked by the shared server core, so the sequential and threaded
-//! engines stream identical sequences — observation is read-only and never
+//! are invoked by the shared server core, so every engine streams
+//! identical sequences — observation is read-only and never
 //! touches the RNG streams, preserving the bit-identical reproducibility
 //! contract.
 

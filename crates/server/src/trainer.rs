@@ -49,9 +49,9 @@ impl RoundBuffers {
 }
 
 /// Server-side state and round logic shared by every engine — the
-/// sequential and threaded in-process engines and the TCP coordinator all
-/// drive this same object, which is what guarantees they produce
-/// identical histories.
+/// sequential in-process engine and the `dpbyz-net` transports (the
+/// in-memory simulator and the TCP coordinator) all drive this same
+/// object, which is what guarantees they produce identical histories.
 ///
 /// External engines obtain one via [`Trainer::into_distributed_parts`]
 /// and drive the round loop themselves: broadcast
@@ -87,17 +87,15 @@ pub struct ServerCore {
     observer: Option<Box<dyn RunObserver>>,
 }
 
-/// Reusable cross-run scratch: every long-lived buffer either engine
+/// Reusable cross-run scratch: every long-lived buffer an engine
 /// keeps for the duration of one run, extracted so *consecutive* runs —
 /// e.g. the (cell × seed) jobs a sweep-executor pool worker processes
 /// back to back, or the seeds of a serial `run_seeds` loop — recycle one
 /// working set instead of rebuilding it per job.
 ///
 /// Holds the server's round buffers (submission set, forged/mean/
-/// aggregated vectors, GAR scratch), the per-worker output slots, the
-/// broadcast-parameter buffer, and — for the threaded engine — the frame
-/// arena (one recycled wire-frame `BytesMut` and one parameter `Vector`
-/// per worker). Buffer shapes adapt in place when the next run has a
+/// aggregated vectors, GAR scratch), the per-worker output slots and the
+/// broadcast-parameter buffer. Buffer shapes adapt in place when the next run has a
 /// different topology or dimension; reuse is **bit-invisible** — a run
 /// with a dirty scratch produces exactly the history a fresh one does
 /// (every buffer is overwritten before it is read).
@@ -106,14 +104,6 @@ pub struct RunScratch {
     pub(crate) round: RoundBuffers,
     pub(crate) outputs: Vec<WorkerOutput>,
     pub(crate) params: Vector,
-    /// Threaded engine only: per-worker wire-frame arena.
-    pub(crate) frames: Vec<bytes::BytesMut>,
-    /// Threaded engine only: per-worker broadcast-parameter buffers.
-    pub(crate) params_pool: Vec<Vector>,
-    /// Threaded engine only: the persistent worker thread pool. Threads
-    /// outlive individual runs — consecutive `run_with_scratch` calls
-    /// reuse them instead of respawning OS threads per run.
-    pub(crate) pool: crate::threaded::WorkerPool,
 }
 
 impl RunScratch {
@@ -153,7 +143,7 @@ impl ServerCore {
     ) -> Self {
         let dim = params.dim();
         buffers.dim = dim;
-        // All three engines build their core here, so this single call
+        // Every engine builds its core here, so this single call
         // plumbs the intra-round aggregation parallelism everywhere. 1 (the
         // default) is the serial path; any count is bit-identical to it.
         buffers.gar_scratch.set_parallelism(config.agg_threads);
@@ -221,7 +211,7 @@ impl ServerCore {
 
     /// Attaches churn accounting assembled by a distributed engine; it is
     /// sealed into [`RunHistory::churn`] by [`ServerCore::finish`]. The
-    /// in-process engines never call this — their histories carry the
+    /// sequential engine never calls this — its histories carry the
     /// default (all-zero) stats.
     pub fn record_churn(&mut self, churn: ChurnStats) {
         self.churn = churn;
@@ -528,7 +518,7 @@ impl Trainer {
     /// Attaches a streaming [`RunObserver`] receiving per-step metrics.
     /// Observation is passive — it never touches the RNG streams — so the
     /// produced [`RunHistory`] is bit-identical with or without one, on
-    /// both the sequential and threaded engines.
+    /// every engine.
     pub fn observer(mut self, observer: Box<dyn RunObserver>) -> Self {
         self.observer = Some(observer);
         self
@@ -586,8 +576,8 @@ impl Trainer {
     }
 
     /// Dismantles the trainer into the server-side [`ServerCore`] and the
-    /// honest workers — the constructor external engines (the TCP
-    /// coordinator) drive. RNG-stream derivation, worker construction
+    /// honest workers — the constructor external engines (the simulated
+    /// and TCP transports) drive. RNG-stream derivation, worker construction
     /// order, and parameter initialization are exactly
     /// [`Trainer::run_with_scratch`]'s, so an engine that feeds
     /// [`ServerCore::process_round`] each round's outputs in worker-id
@@ -595,8 +585,8 @@ impl Trainer {
     ///
     /// The returned workers are honest only: with an attack armed, the
     /// `n_byzantine` colluders have no worker-side computation — the core
-    /// forges their submissions server-side, as in both in-process
-    /// engines.
+    /// forges their submissions server-side, as in the sequential
+    /// engine.
     pub fn into_distributed_parts(
         self,
         seed: u64,
@@ -671,7 +661,7 @@ impl Trainer {
 mod tests {
     use super::*;
     use crate::config::TrainingConfig;
-    use dpbyz_attacks::LittleIsEnough;
+    use dpbyz_attacks::{FallOfEmpires, LittleIsEnough};
     use dpbyz_data::sampler::{DatasetSource, SamplingMode};
     use dpbyz_data::synthetic;
     use dpbyz_gars::Mda;
@@ -1029,5 +1019,28 @@ mod tests {
             Vec::new(),
             Some(test),
         );
+    }
+
+    #[test]
+    fn dirty_scratch_reuse_is_bit_invisible_across_topologies() {
+        // One scratch reused across a 4-worker honest run, an 11-worker
+        // attacked run, and back — the sweep-executor usage pattern. Every
+        // history must equal its fresh-scratch counterpart exactly.
+        let honest = || make_trainer(4, 0, 12, 11).0;
+        let attacked = || {
+            make_trainer(11, 5, 8, 11)
+                .0
+                .gar(Arc::new(Mda::new()))
+                .attack(Arc::new(FallOfEmpires::default()))
+        };
+        let fresh_honest = honest().run(3).unwrap();
+        let fresh_attacked = attacked().run(4).unwrap();
+        let mut scratch = RunScratch::new();
+        let first = honest().run_with_scratch(3, &mut scratch).unwrap();
+        assert_eq!(first, fresh_honest);
+        let second = attacked().run_with_scratch(4, &mut scratch).unwrap();
+        assert_eq!(second, fresh_attacked);
+        let third = honest().run_with_scratch(3, &mut scratch).unwrap();
+        assert_eq!(third, fresh_honest);
     }
 }

@@ -109,7 +109,7 @@ impl HonestWorker {
     }
 
     /// Runs one step, refilling a caller-provided output buffer — the
-    /// zero-copy path both engines drive every round. Internally recycles
+    /// zero-copy path every engine drives every round. Internally recycles
     /// the worker's batch and gradient buffers, so at steady state a step
     /// performs no heap allocation (given an in-place mechanism and
     /// `_into`-capable model and source). Bit-identical to

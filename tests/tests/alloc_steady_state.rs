@@ -1,9 +1,10 @@
 //! Allocation bound for the zero-copy round engine: after warm-up, a
 //! training round performs **zero** heap allocations for the `average`,
-//! `krum`, and `median` cells with the Gaussian mechanism — on **both**
-//! engines. The threaded cases cover the whole transport too: encoding
-//! into the recycled frame arena, the channel hop, and decoding straight
-//! into the server's output slots all stay allocation-free once warm.
+//! `krum`, and `median` cells with the Gaussian mechanism, serial and
+//! with a parallel aggregation pool. The wire codec the network engines
+//! share is pinned at zero on its own: encoding into a recycled frame and
+//! decoding straight into a live vector stay allocation-free once warm.
+//! The TCP engine's rounds are held to a small fixed bound.
 //!
 //! A counting global allocator snapshots the cumulative allocation count
 //! at every step (via a passive observer); the per-round deltas over the
@@ -22,8 +23,9 @@ use dpbyz::data::synthetic;
 use dpbyz::dp::{GaussianMechanism, Mechanism};
 use dpbyz::gars::{Average, CoordinateMedian, Gar, Krum};
 use dpbyz::models::{LogisticRegression, LossKind};
-use dpbyz::server::{FnObserver, ThreadedTrainer, Trainer, TrainingConfig};
-use dpbyz::tensor::Prng;
+use dpbyz::server::message::{GradientMessage, StepMessage};
+use dpbyz::server::{FnObserver, Trainer, TrainingConfig};
+use dpbyz::tensor::{Prng, Vector};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,20 +71,15 @@ const STEPS: u32 = 40;
 /// Runs one cell and returns the cumulative allocation count observed at
 /// the end of every step.
 fn per_step_allocation_counts(gar: Arc<dyn Gar>) -> Vec<u64> {
-    per_step_allocation_counts_on(gar, false, 1)
+    per_step_allocation_counts_on(gar, 1)
 }
 
-/// [`per_step_allocation_counts`] with engine selection and intra-round
-/// aggregation parallelism: `threaded` exercises the full wire transport
-/// (frame arena encode → channel → decode) under the counting allocator;
-/// `agg_threads > 1` shards the GAR's coordinate/candidate loops over the
-/// compute pool, whose task packets must also recycle allocation-free
-/// once warm (worker threads and channel buffers land in round 1).
-fn per_step_allocation_counts_on(
-    gar: Arc<dyn Gar>,
-    threaded: bool,
-    agg_threads: usize,
-) -> Vec<u64> {
+/// [`per_step_allocation_counts`] with intra-round aggregation
+/// parallelism: `agg_threads > 1` shards the GAR's coordinate/candidate
+/// loops over the compute pool, whose task packets must also recycle
+/// allocation-free once warm (worker threads and channel buffers land in
+/// round 1).
+fn per_step_allocation_counts_on(gar: Arc<dyn Gar>, agg_threads: usize) -> Vec<u64> {
     let n = 5;
     let mut rng = Prng::seed_from_u64(11);
     let ds = Arc::new(synthetic::phishing_like(&mut rng, 400));
@@ -113,11 +110,7 @@ fn per_step_allocation_counts_on(
         .observer(Box::new(FnObserver::new(move |_m| {
             sink.lock().unwrap().push(allocation_count());
         })));
-    if threaded {
-        ThreadedTrainer::from(trainer).run(1).unwrap();
-    } else {
-        trainer.run(1).unwrap();
-    }
+    trainer.run(1).unwrap();
     Arc::try_unwrap(snapshots).unwrap().into_inner().unwrap()
 }
 
@@ -153,27 +146,6 @@ fn median_cell_is_allocation_free_at_steady_state() {
     assert_steady_state_allocation_free("median/gaussian", &counts);
 }
 
-// The threaded engine reaches the same zero-allocations-per-round steady
-// state as the serial one — **including the wire frames**: the per-worker
-// `BytesMut` arena, the broadcast-parameter buffers, and the pre-noise
-// diagnostics all recycle round-trip through the channels, and
-// `encode_into`/`decode_into` reuse live buffers on both ends.
-
-fn threaded_average_cell_is_allocation_free_at_steady_state() {
-    let counts = per_step_allocation_counts_on(Arc::new(Average::new()), true, 1);
-    assert_steady_state_allocation_free("threaded/average/gaussian", &counts);
-}
-
-fn threaded_krum_cell_is_allocation_free_at_steady_state() {
-    let counts = per_step_allocation_counts_on(Arc::new(Krum::new()), true, 1);
-    assert_steady_state_allocation_free("threaded/krum/gaussian", &counts);
-}
-
-fn threaded_median_cell_is_allocation_free_at_steady_state() {
-    let counts = per_step_allocation_counts_on(Arc::new(CoordinateMedian::new()), true, 1);
-    assert_steady_state_allocation_free("threaded/median/gaussian", &counts);
-}
-
 // The intra-round parallel aggregation path (`agg_threads > 1`) reaches
 // the same zero-allocations-per-round steady state: the pool's task
 // packets (column transposes, per-shard outputs, sort scratch) round-trip
@@ -181,18 +153,43 @@ fn threaded_median_cell_is_allocation_free_at_steady_state() {
 // warm-up the parallel shard bodies allocate nothing.
 
 fn parallel_median_cell_is_allocation_free_at_steady_state() {
-    let counts = per_step_allocation_counts_on(Arc::new(CoordinateMedian::new()), false, 4);
+    let counts = per_step_allocation_counts_on(Arc::new(CoordinateMedian::new()), 4);
     assert_steady_state_allocation_free("median/gaussian/agg_threads=4", &counts);
 }
 
 fn parallel_krum_cell_is_allocation_free_at_steady_state() {
-    let counts = per_step_allocation_counts_on(Arc::new(Krum::new()), false, 4);
+    let counts = per_step_allocation_counts_on(Arc::new(Krum::new()), 4);
     assert_steady_state_allocation_free("krum/gaussian/agg_threads=4", &counts);
 }
 
-fn threaded_parallel_median_cell_is_allocation_free_at_steady_state() {
-    let counts = per_step_allocation_counts_on(Arc::new(CoordinateMedian::new()), true, 4);
-    assert_steady_state_allocation_free("threaded/median/gaussian/agg_threads=4", &counts);
+// ---- the wire codec ----------------------------------------------------
+
+// The codec every network engine drives: a gradient frame and a step
+// broadcast at the paper's dimension (d = 69), each encoded into one
+// recycled buffer and decoded straight into one live vector. Once warm,
+// an iteration allocates nothing.
+
+fn wire_codec_is_allocation_free_at_steady_state() {
+    let mut rng = Prng::seed_from_u64(11);
+    let gradient = rng.normal_vector(69, 1.0);
+    let params = rng.normal_vector(69, 1.0);
+    // Inferred as the codec's `BytesMut`, recycled across iterations.
+    let mut frame = Default::default();
+    let mut decoded = Vector::default();
+    let mut counts = Vec::with_capacity(STEPS as usize);
+    for t in 1..=STEPS {
+        GradientMessage::encode_frame(3, t, &gradient, &mut frame);
+        assert_eq!(
+            GradientMessage::decode_into(&frame, &mut decoded),
+            Ok((3, t))
+        );
+        assert_eq!(decoded, gradient);
+        StepMessage::encode_frame(t, 10, &params, &mut frame);
+        assert_eq!(StepMessage::decode_into(&frame, &mut decoded), Ok((t, 10)));
+        assert_eq!(decoded, params);
+        counts.push(allocation_count());
+    }
+    assert_steady_state_allocation_free("codec/gradient+step/d=69", &counts);
 }
 
 // ---- the TCP deployment -------------------------------------------------
@@ -299,16 +296,13 @@ macro_rules! cells {
 }
 
 /// Every cell, under the name the suite reports it by.
-const CELLS: [(&str, fn()); 11] = cells![
+const CELLS: [(&str, fn()); 8] = cells![
     average_cell_is_allocation_free_at_steady_state,
     krum_cell_is_allocation_free_at_steady_state,
     median_cell_is_allocation_free_at_steady_state,
-    threaded_average_cell_is_allocation_free_at_steady_state,
-    threaded_krum_cell_is_allocation_free_at_steady_state,
-    threaded_median_cell_is_allocation_free_at_steady_state,
     parallel_median_cell_is_allocation_free_at_steady_state,
     parallel_krum_cell_is_allocation_free_at_steady_state,
-    threaded_parallel_median_cell_is_allocation_free_at_steady_state,
+    wire_codec_is_allocation_free_at_steady_state,
     tcp_average_cell_keeps_rounds_allocation_bounded,
     tcp_median_cell_keeps_rounds_allocation_bounded,
 ];

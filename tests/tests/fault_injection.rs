@@ -38,10 +38,11 @@ fn training_survives_moderate_drops() {
 }
 
 #[test]
-fn threaded_equals_sequential_with_all_extensions() {
+fn sim_equals_sequential_with_all_extensions() {
     // Drops + EMA + batch growth + DP + attack, both engines: the
     // strongest determinism contract in the workspace.
-    let configure = |threaded: bool| {
+    dpbyz_net::install();
+    let configure = |backend: &str| {
         let mut exp = base(15);
         exp.config.drop_rate = 0.25;
         exp.config.gradient_ema = Some(0.9);
@@ -49,13 +50,13 @@ fn threaded_equals_sequential_with_all_extensions() {
             factor: 1.05,
             max: 100,
         });
-        exp.backend = if threaded { "threaded" } else { "sequential" }.into();
+        exp.backend = backend.into();
         exp
     };
     for seed in [1u64, 13] {
-        let seq = configure(false).run(seed).expect("sequential runs");
-        let thr = configure(true).run(seed).expect("threaded runs");
-        assert_eq!(seq, thr, "engines diverged at seed {seed}");
+        let seq = configure("sequential").run(seed).expect("sequential runs");
+        let sim = configure("sim").run(seed).expect("sim runs");
+        assert_eq!(seq, sim, "engines diverged at seed {seed}");
     }
 }
 

@@ -8,7 +8,7 @@ use dpbyz_server::TrainingConfig;
 
 /// One matrix cell over registry specs (the open path the new components
 /// use — no `*Kind` variants exist for them). Returns the sequential
-/// run's tail loss after asserting the threaded engine reproduces it
+/// run's tail loss after asserting the simulated network reproduces it
 /// bit-for-bit.
 fn run_spec_attack(gar: ComponentSpec, attack: ComponentSpec, f: usize) -> f64 {
     let config = TrainingConfig::builder()
@@ -36,11 +36,12 @@ fn run_spec_attack(gar: ComponentSpec, attack: ComponentSpec, f: usize) -> f64 {
         dp_reference_g_max: None,
     };
     let sequential = exp.run(1).expect("runs");
-    exp.backend = "threaded".into();
-    let threaded = exp.run(1).expect("threaded runs");
+    dpbyz_net::install();
+    exp.backend = "sim".into();
+    let sim = exp.run(1).expect("sim runs");
     assert_eq!(
         sequential,
-        threaded,
+        sim,
         "{}/{} diverged across engines",
         exp.gar.id,
         exp.attack.as_ref().unwrap().id
@@ -157,7 +158,7 @@ fn zero_attack_slows_but_does_not_poison() {
 
 /// The scenario-pack components crossed: centered clipping and bucketing
 /// against IPM and the norm-rescaling probe (plus the table-stakes
-/// large-norm), each cell also asserting sequential ≡ threaded.
+/// large-norm), each cell also asserting sequential ≡ sim.
 #[test]
 fn centered_clipping_survives_the_new_attack_matrix() {
     let clean = clean_reference();

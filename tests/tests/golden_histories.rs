@@ -3,8 +3,9 @@
 //! The digests below were re-recorded (once, deliberately) when the
 //! explicit vectorized kernel layer landed — see the note on `GOLDEN`.
 //! Every future refactor must reproduce them byte-for-byte, on both the
-//! sequential and the threaded engine — the "bit-identical histories"
-//! acceptance gate.
+//! sequential engine and the simulated network over clean links (real
+//! workers exchanging real wire frames through the shared `drive` loop)
+//! — the "bit-identical histories" acceptance gate.
 
 use dpbyz_attacks::{Attack, FallOfEmpires, InnerProductManipulation, LittleIsEnough, Rescaling};
 use dpbyz_data::sampler::{BatchSource, DatasetSource, SamplingMode};
@@ -14,7 +15,10 @@ use dpbyz_gars::{
     Bucketing, Bulyan, CenteredClipping, CoordinateMedian, Gar, Krum, Mda, MultiKrum,
 };
 use dpbyz_models::{LogisticRegression, LossKind};
-use dpbyz_server::{MomentumMode, ThreadedTrainer, Trainer, TrainingConfig, TrainingConfigBuilder};
+use dpbyz_net::{drive, FaultPlan, MachineConfig, SimNet};
+use dpbyz_server::{
+    MomentumMode, RunHistory, RunScratch, Trainer, TrainingConfig, TrainingConfigBuilder,
+};
 use dpbyz_tensor::Prng;
 use std::sync::Arc;
 
@@ -173,6 +177,29 @@ fn build_trainer(spec: &CellSpec) -> Trainer {
     trainer
 }
 
+/// Runs `trainer` over a fault-free [`SimNet`]: every honest worker
+/// joins, every round waits for every report, and the virtual deadlines
+/// never fire.
+fn run_on_clean_sim(trainer: Trainer, seed: u64) -> RunHistory {
+    let mut scratch = RunScratch::new();
+    let (core, workers) = trainer.into_distributed_parts(seed, &mut scratch);
+    let n = workers.len();
+    let cfg = MachineConfig {
+        n_workers: n,
+        min_workers: n,
+        quorum: n,
+        steps: core.config().steps,
+        join_deadline_ms: 10_000,
+        warmup_deadline_ms: 10_000,
+        step_deadline_ms: 10_000,
+        staleness_window: 0,
+    };
+    // The `sim` backend's defaults: 2 ms of virtual compute per gradient,
+    // a 32-frame resume ring, strict (k = 0) admission.
+    let mut net = SimNet::new(workers, &FaultPlan::clean(n), seed, 2, 32, 0);
+    drive(&mut net, core, cfg, seed, &mut scratch).unwrap()
+}
+
 /// Digests re-recorded **once** when the explicit 4-lane kernel layer
 /// landed (`dpbyz_tensor::kernels`): the blocked reductions (dot, norms,
 /// pairwise distances, column sums) use a fixed machine-independent
@@ -211,11 +238,11 @@ fn refactored_engine_reproduces_pre_refactor_histories() {
             expected,
             "{name}: sequential engine diverged from the recorded history"
         );
-        let thr = ThreadedTrainer::from(build_trainer(spec)).run(3).unwrap();
+        let sim = run_on_clean_sim(build_trainer(spec), 3);
         assert_eq!(
-            thr.digest(),
+            sim.digest(),
             expected,
-            "{name}: threaded engine diverged from the recorded history"
+            "{name}: sim engine diverged from the recorded history"
         );
     }
 }

@@ -1,7 +1,8 @@
 //! Determinism suite for the parallel sweep executor: histories produced
 //! by `SweepBuilder` / `Experiment::run_seeds_parallel` must be
 //! **bit-identical** to the serial `run_seeds` loop — across both engines
-//! (`Trainer` and `ThreadedTrainer`) and across pool sizes 1, 2, and 8.
+//! (the sequential `Trainer` and the clean-plan `sim` network) and across
+//! pool sizes 1, 2, and 8.
 //!
 //! `RunHistory`'s `PartialEq` compares float *bit patterns* (see
 //! `dpbyz-server`), so equality here is the strongest claim available:
@@ -15,21 +16,22 @@ const SEEDS: [u64; 4] = [1, 2, 3, 4];
 
 /// A DP + attacked cell: exercises the attack and noise RNG streams, the
 /// parts most sensitive to ordering bugs.
-fn attacked_experiment(threaded: bool) -> Experiment {
+fn attacked_experiment(backend: &str) -> Experiment {
+    dpbyz::net::install();
     Experiment::builder()
         .steps(6)
         .dataset_size(250)
         .gar("mda")
         .attack("alie")
         .epsilon(0.2)
-        .threaded(threaded)
+        .backend(backend)
         .build()
         .unwrap()
 }
 
 #[test]
 fn run_seeds_parallel_matches_serial_on_sequential_engine() {
-    let exp = attacked_experiment(false);
+    let exp = attacked_experiment("sequential");
     let serial = exp.run_seeds(&SEEDS).unwrap();
     for pool in POOL_SIZES {
         let parallel = exp.run_seeds_parallel(&SEEDS, Some(pool)).unwrap();
@@ -40,15 +42,15 @@ fn run_seeds_parallel_matches_serial_on_sequential_engine() {
 }
 
 #[test]
-fn run_seeds_parallel_matches_serial_on_threaded_engine() {
-    let exp = attacked_experiment(true);
+fn run_seeds_parallel_matches_serial_on_sim_engine() {
+    let exp = attacked_experiment("sim");
     let serial = exp.run_seeds(&SEEDS).unwrap();
     for pool in POOL_SIZES {
         let parallel = exp.run_seeds_parallel(&SEEDS, Some(pool)).unwrap();
-        assert_eq!(serial, parallel, "pool size {pool} (threaded engine)");
+        assert_eq!(serial, parallel, "pool size {pool} (sim engine)");
     }
-    // And the threaded engine agrees with the sequential one end-to-end.
-    let sequential = attacked_experiment(false).run_seeds(&SEEDS).unwrap();
+    // And the sim engine agrees with the sequential one end-to-end.
+    let sequential = attacked_experiment("sequential").run_seeds(&SEEDS).unwrap();
     assert_eq!(serial, sequential);
 }
 
@@ -88,9 +90,10 @@ fn sweep_grid_is_bit_identical_to_serial_loops_at_every_pool_size() {
 
 #[test]
 fn sweep_covers_both_engines_identically() {
-    // The same grid run on the threaded engine must produce the same
-    // bits as on the sequential engine, through the executor.
-    let run_with = |threaded: bool| {
+    // The same grid run on the sim engine must produce the same bits as
+    // on the sequential engine, through the executor.
+    dpbyz::net::install();
+    let run_with = |backend: &str| {
         SweepBuilder::over(
             Experiment::builder()
                 .steps(4)
@@ -98,7 +101,7 @@ fn sweep_covers_both_engines_identically() {
                 .gar("median")
                 .attack("sign-flip")
                 .byzantine(2)
-                .threaded(threaded),
+                .backend(backend),
         )
         .with_no_dp()
         .epsilons(&[0.2])
@@ -107,9 +110,9 @@ fn sweep_covers_both_engines_identically() {
         .run()
         .unwrap()
     };
-    let sequential = run_with(false);
-    let threaded = run_with(true);
-    for (a, b) in sequential.cells.iter().zip(&threaded.cells) {
+    let sequential = run_with("sequential");
+    let sim = run_with("sim");
+    for (a, b) in sequential.cells.iter().zip(&sim.cells) {
         assert_eq!(a.histories, b.histories, "cell {}", a.label);
     }
 }
@@ -121,6 +124,7 @@ fn zero_copy_engine_is_bit_identical_across_gars_engines_and_pool_sizes() {
     // matrix, Bulyan's index-based selection, MDA's subset search, the
     // coordinate statistics) plus the in-place Gaussian mechanism and
     // forged-vector reuse, on both engines, serial and pools 1/2/8.
+    dpbyz::net::install();
     let cells: [(&str, &str, usize); 5] = [
         ("average", "", 0),
         ("krum", "alie", 2),
@@ -129,14 +133,14 @@ fn zero_copy_engine_is_bit_identical_across_gars_engines_and_pool_sizes() {
         ("bulyan", "foe", 2),
     ];
     for (gar, attack, f) in cells {
-        for threaded in [false, true] {
+        for backend in ["sequential", "sim"] {
             let mut builder = Experiment::builder()
                 .steps(5)
                 .dataset_size(250)
                 .gar(gar)
                 .byzantine(f)
                 .epsilon(0.3)
-                .threaded(threaded);
+                .backend(backend);
             if !attack.is_empty() {
                 builder = builder.attack(attack);
             }
@@ -146,25 +150,25 @@ fn zero_copy_engine_is_bit_identical_across_gars_engines_and_pool_sizes() {
                 let parallel = exp.run_seeds_parallel(&SEEDS, Some(pool)).unwrap();
                 assert_eq!(
                     serial, parallel,
-                    "{gar}/{attack}: pool {pool}, threaded {threaded}"
+                    "{gar}/{attack}: pool {pool}, backend {backend}"
                 );
             }
         }
-        // Sequential and threaded engines agree on the same cell.
+        // Sequential and sim engines agree on the same cell.
         let mut seq_builder = Experiment::builder()
             .steps(5)
             .dataset_size(250)
             .gar(gar)
             .byzantine(f)
             .epsilon(0.3);
-        let mut thr_builder = seq_builder.clone().threaded(true);
+        let mut sim_builder = seq_builder.clone().backend("sim");
         if !attack.is_empty() {
             seq_builder = seq_builder.attack(attack);
-            thr_builder = thr_builder.attack(attack);
+            sim_builder = sim_builder.attack(attack);
         }
         assert_eq!(
             seq_builder.build().unwrap().run_seeds(&SEEDS).unwrap(),
-            thr_builder.build().unwrap().run_seeds(&SEEDS).unwrap(),
+            sim_builder.build().unwrap().run_seeds(&SEEDS).unwrap(),
             "{gar}/{attack}: engines disagree"
         );
     }
@@ -177,13 +181,14 @@ fn agg_threads_keeps_histories_bit_identical_on_both_engines() {
     // *inside* a round. Any thread count must reproduce the serial
     // history bit for bit, on both engines — cells pick rules from the
     // sharded coordinate family and the Krum family.
+    dpbyz::net::install();
     let cells: [(&str, &str, usize); 3] = [
         ("median", "sign-flip", 3),
         ("krum", "alie", 2),
         ("phocas", "foe", 3),
     ];
     for (gar, attack, f) in cells {
-        for threaded in [false, true] {
+        for backend in ["sequential", "sim"] {
             let build = |threads: usize| {
                 Experiment::builder()
                     .steps(5)
@@ -192,7 +197,7 @@ fn agg_threads_keeps_histories_bit_identical_on_both_engines() {
                     .attack(attack)
                     .byzantine(f)
                     .epsilon(0.3)
-                    .threaded(threaded)
+                    .backend(backend)
                     .agg_threads(threads)
                     .build()
                     .unwrap()
@@ -202,7 +207,7 @@ fn agg_threads_keeps_histories_bit_identical_on_both_engines() {
                 let parallel = build(threads).run_seeds(&SEEDS).unwrap();
                 assert_eq!(
                     serial, parallel,
-                    "{gar}/{attack}: agg_threads {threads}, threaded {threaded}"
+                    "{gar}/{attack}: agg_threads {threads}, backend {backend}"
                 );
             }
         }
@@ -211,7 +216,7 @@ fn agg_threads_keeps_histories_bit_identical_on_both_engines() {
 
 #[test]
 fn observers_stream_without_perturbing_parallel_results() {
-    let exp = attacked_experiment(false);
+    let exp = attacked_experiment("sequential");
     let serial = exp.run_seeds(&SEEDS).unwrap();
     let streamed = Arc::new(Mutex::new(0usize));
     let counter = streamed.clone();
@@ -234,7 +239,7 @@ fn observers_stream_without_perturbing_parallel_results() {
 
 #[test]
 fn empty_seed_lists_error_instead_of_returning_empty() {
-    let exp = attacked_experiment(false);
+    let exp = attacked_experiment("sequential");
     assert!(matches!(exp.run_seeds(&[]), Err(PipelineError::Spec(_))));
     assert!(matches!(
         exp.run_seeds_parallel(&[], Some(2)),

@@ -78,11 +78,13 @@ fn custom_gar_registers_and_runs_through_builder() {
         sequential.tail_loss(3)
     );
 
-    // Acceptance criterion: Trainer and ThreadedTrainer stay bit-identical
-    // for the same seed with the custom component in the loop.
-    exp.backend = "threaded".into();
-    let threaded = exp.run(7).expect("threaded run");
-    assert_eq!(sequential, threaded);
+    // Acceptance criterion: the sequential engine and the simulated
+    // network stay bit-identical for the same seed with the custom
+    // component in the loop.
+    dpbyz_net::install();
+    exp.backend = "sim".into();
+    let sim = exp.run(7).expect("sim run");
+    assert_eq!(sequential, sim);
 
     // Parameters reach the factory: a different blend changes the run.
     exp.backend = "sequential".into();

@@ -15,7 +15,8 @@ fn quick_base() -> ExperimentBuilder {
 
 /// The acceptance gate: `with_pack("attack-zoo")` — every registered GAR
 /// × every registered attack — runs end-to-end and produces bit-identical
-/// histories at pool sizes 1 and 8, on both engines.
+/// histories at pool sizes 1 and 8, on the sequential engine and the
+/// clean-plan `sim` network.
 ///
 /// The pack is expanded ONCE and replayed as explicit cells for the two
 /// pool sizes: other tests in this binary may register components
@@ -23,8 +24,9 @@ fn quick_base() -> ExperimentBuilder {
 /// so expanding twice could legitimately see different zoos.
 #[test]
 fn attack_zoo_is_bit_identical_at_pool_sizes_1_and_8() {
-    for threaded in [false, true] {
-        let cells: Vec<SweepCell> = SweepBuilder::over(quick_base().threaded(threaded))
+    dpbyz::net::install();
+    for backend in ["sequential", "sim"] {
+        let cells: Vec<SweepCell> = SweepBuilder::over(quick_base().backend(backend))
             .with_pack("attack-zoo")
             .cells()
             .expect("attack-zoo expands");
@@ -53,7 +55,7 @@ fn attack_zoo_is_bit_identical_at_pool_sizes_1_and_8() {
             assert_eq!(a.label, b.label);
             assert_eq!(
                 a.histories, b.histories,
-                "cell {} diverged across pool sizes (threaded = {threaded})",
+                "cell {} diverged across pool sizes (backend = {backend})",
                 a.label
             );
         }
