@@ -31,6 +31,20 @@
 //! [`Transport::idle`], jumping to the next queued delivery or the next
 //! machine deadline. No wall clock, no sleeps, no sockets — a chaos run
 //! executes in microseconds.
+//!
+//! Workers compute when a `STEP` is broadcast, not when its copy is
+//! delivered. Every *ready* worker — alive, attached, its cursor at the
+//! broadcast step and nothing buffered ahead of it — computes its step
+//! from one decode of the broadcast bytes, and its delivery only sends
+//! the `GRAD` frame that was already built. From a model dimension of
+//! `FANOUT_MIN_DIM` up, the ready workers are split across up to
+//! [`std::thread::available_parallelism`] threads, since each stands for
+//! a separate machine. A worker computes its steps in strictly increasing
+//! order, each a pure function of its own state and that step's bytes,
+//! so *when* or on which thread it computes changes neither virtual time
+//! nor a single frame byte. Workers that are not ready (late joiners
+//! before their first replayed `STEP`, rejoin replays, stragglers under a
+//! staleness window) compute on delivery, as their TCP twins do.
 
 use crate::machine::{Event, MachineConfig, Phase};
 use crate::protocol::{
@@ -44,10 +58,11 @@ use dpbyz_core::engine::register_backend;
 use dpbyz_core::pipeline::{Experiment, PipelineError};
 use dpbyz_core::{ComponentSpec, EngineBackend, RegistryError};
 use dpbyz_server::message::{read_array, GradientMessage, StepMessage};
-use dpbyz_server::{HonestWorker, RunHistory, RunObserver, RunScratch, WorkerOutput};
+use dpbyz_server::{HonestWorker, RunHistory, RunObserver, RunScratch, ServerCore, WorkerOutput};
 use dpbyz_tensor::{Prng, Vector};
 use std::collections::BTreeMap;
 use std::io;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 /// Extra one-way latency charged per simulated "drop": the frame is not
@@ -59,6 +74,13 @@ pub const RETRANSMIT_PENALTY_MS: u64 = 3;
 /// dropping it (keeps worst-case delay bounded well under the default
 /// 10 s deadlines).
 const MAX_RETRANSMITS: u32 = 16;
+
+/// Model dimension from which a broadcast's ready workers compute on
+/// several threads. Below it a scoped spawn and join (≈ 30 µs) costs
+/// more than the workers' steps it would overlap, so they compute
+/// serially on the calling thread: on a 2-core host the fan-out lost at
+/// d = 128, was mixed at 256 and won from 512 up.
+const FANOUT_MIN_DIM: usize = 512;
 
 /// Fault model of one directed link.
 #[derive(Debug, Clone, PartialEq)]
@@ -297,13 +319,14 @@ impl ChaosLink {
     }
 }
 
-/// One queued wire event.
+/// One queued wire event. Frames are shared: a broadcast's copies and
+/// every duplicate point at one buffer.
 #[derive(Debug)]
 enum Delivery {
     /// A frame travelling worker → coordinator.
-    ToCoord { from: u32, frame: Vec<u8> },
+    ToCoord { from: u32, frame: Arc<[u8]> },
     /// A frame travelling coordinator → worker.
-    ToWorker { to: u32, frame: Vec<u8> },
+    ToWorker { to: u32, frame: Arc<[u8]> },
     /// The coordinator's side of a detected crash (the TCP reset
     /// analogue). Only scheduled when the plan detects crashes.
     Detach { worker: u32 },
@@ -321,7 +344,10 @@ struct SimWorker {
     next_slot: u32,
     /// Broadcast steps received ahead of the cursor (non-FIFO links
     /// reorder; the worker computes strictly in step order).
-    pending: BTreeMap<u32, Vec<u8>>,
+    pending: BTreeMap<u32, Arc<[u8]>>,
+    /// The step computed at broadcast time whose `GRAD` frame waits in
+    /// `grad_frame` for that step's `STEP` to be delivered.
+    precomputed: Option<u32>,
     crash_after: Option<u32>,
     rejoin_on: Option<u32>,
     /// `Some(step)` until this worker's `JOIN_FRESH` fires (on the
@@ -335,6 +361,47 @@ struct SimWorker {
     sub_frame: BytesMut,
     pre_frame: BytesMut,
     grad_frame: BytesMut,
+}
+
+impl SimWorker {
+    /// Whether this worker can compute `step` the moment it is broadcast:
+    /// alive, attached (so a copy is on its way), its cursor at `step` and
+    /// nothing buffered ahead of it.
+    fn ready(&self, attached: bool, step: u32) -> bool {
+        attached && self.alive && self.next_slot == step && self.pending.is_empty()
+    }
+
+    /// Computes `step` on `params` and builds its `GRAD` frame into
+    /// `grad_frame` — the only compute path, at broadcast time or on
+    /// delivery alike.
+    fn compute_step(&mut self, params: &Vector, step: u32, batch: u32) {
+        let id = self.hw.id();
+        self.hw.compute_into(params, batch as usize, &mut self.out);
+        GradientMessage::encode_frame(id, step, &self.out.submitted, &mut self.sub_frame);
+        GradientMessage::encode_frame(id, step, &self.out.pre_noise, &mut self.pre_frame);
+        begin_frame(&mut self.grad_frame, KIND_GRAD);
+        self.grad_frame.put_f64_le(self.out.batch_loss);
+        self.grad_frame.put_u32_le(self.sub_frame.len() as u32);
+        self.grad_frame.put_slice(&self.sub_frame);
+        self.grad_frame.put_slice(&self.pre_frame);
+        end_frame(&mut self.grad_frame);
+    }
+}
+
+/// Computes `step` for every ready worker of one share of the fleet.
+fn compute_share(
+    workers: &mut [SimWorker],
+    attached: &[bool],
+    params: &Vector,
+    step: u32,
+    batch: u32,
+) {
+    for (w, &att) in workers.iter_mut().zip(attached) {
+        if w.ready(att, step) {
+            w.compute_step(params, step, batch);
+            w.precomputed = Some(step);
+        }
+    }
 }
 
 /// The in-memory chaos [`Transport`]: a virtual clock, a deterministic
@@ -363,6 +430,14 @@ pub struct SimNet {
     ring: ResumeRing,
     send: BytesMut,
     step_msg: BytesMut,
+    /// The current broadcast's parameters, decoded once for every ready
+    /// worker.
+    step_params: Vector,
+    /// Threads a broadcast's ready workers may be split across.
+    width: usize,
+    /// Broadcasts whose ready workers were split across threads.
+    #[cfg(test)]
+    fanned_rounds: u32,
 }
 
 impl SimNet {
@@ -411,6 +486,7 @@ impl SimNet {
                     alive: true,
                     next_slot: 0,
                     pending: BTreeMap::new(),
+                    precomputed: None,
                     crash_after: crash.map(|c| c.after_step),
                     rejoin_on: crash.map(|c| c.rejoin_on_step),
                     join_fresh_on: late.map(|j| j.on_step),
@@ -441,6 +517,10 @@ impl SimNet {
             ring: ResumeRing::new(resume_window),
             send: BytesMut::with_capacity(4096),
             step_msg: BytesMut::with_capacity(4096),
+            step_params: Vector::default(),
+            width: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+            #[cfg(test)]
+            fanned_rounds: 0,
         };
         for id in 0..n as u32 {
             // Late joiners sit out the join phase entirely; their
@@ -459,7 +539,7 @@ impl SimNet {
                 &mut net.links_to_coord[idx],
                 net.now,
                 0,
-                &join,
+                Arc::from(&join[..]),
                 |frame| Delivery::ToCoord { from: id, frame },
             );
         }
@@ -475,14 +555,14 @@ impl SimNet {
         link: &mut ChaosLink,
         now: u64,
         extra_ms: u64,
-        frame: &[u8],
-        build: impl Fn(Vec<u8>) -> Delivery,
+        frame: Arc<[u8]>,
+        build: impl Fn(Arc<[u8]>) -> Delivery,
     ) {
         let (at, dup_at) = link.times(now, extra_ms);
-        queue.insert((at, *seq), build(frame.to_vec()));
+        queue.insert((at, *seq), build(Arc::clone(&frame)));
         *seq += 1;
         if let Some(at) = dup_at {
-            queue.insert((at, *seq), build(frame.to_vec()));
+            queue.insert((at, *seq), build(frame));
             *seq += 1;
         }
     }
@@ -490,6 +570,7 @@ impl SimNet {
     /// Broadcasts the frame staged in `self.send` to every attached
     /// worker, each copy through that worker's own chaos link.
     fn broadcast(&mut self) {
+        let frame: Arc<[u8]> = Arc::from(&self.send[..]);
         for idx in 0..self.links_to_worker.len() {
             if !self.attached.get(idx).copied().unwrap_or(false) {
                 continue;
@@ -501,16 +582,70 @@ impl SimNet {
                 &mut self.links_to_worker[idx],
                 self.now,
                 0,
-                &self.send,
+                Arc::clone(&frame),
                 |frame| Delivery::ToWorker { to, frame },
             );
+        }
+    }
+
+    /// Computes `step` for every ready worker the moment its `STEP`
+    /// (staged in `self.send`) goes out, from one decode of the frame;
+    /// from [`FANOUT_MIN_DIM`] up, across up to `width` threads, the
+    /// calling thread taking one share. Their deliveries then only send
+    /// the built `GRAD` frames (see the module docs for why this is
+    /// invisible to the run).
+    fn precompute(&mut self, step: u32) {
+        let ready = self
+            .workers
+            .iter()
+            .zip(&self.attached)
+            .filter(|&(w, &att)| w.ready(att, step))
+            .count();
+        if ready == 0 {
+            return;
+        }
+        let payload = self.send.get(5..).unwrap_or_default();
+        let Ok((_, batch)) = StepMessage::decode_into(payload, &mut self.step_params) else {
+            return; // locally built frames never fail; workers compute on delivery
+        };
+        let params = &self.step_params;
+        let width = if params.dim() >= FANOUT_MIN_DIM {
+            self.width.min(ready)
+        } else {
+            1
+        };
+        // lint:begin(zero-copy)
+        // Every broadcast passes through here: the fleet is split into
+        // contiguous shares in place, with no per-round collection.
+        if width <= 1 {
+            compute_share(&mut self.workers, &self.attached, params, step, batch);
+            return;
+        }
+        let share = self.workers.len().div_ceil(width);
+        let mut shares = self
+            .workers
+            .chunks_mut(share)
+            .zip(self.attached.chunks(share));
+        std::thread::scope(|scope| {
+            let own = shares.next();
+            for (workers, attached) in shares {
+                scope.spawn(move || compute_share(workers, attached, params, step, batch));
+            }
+            if let Some((workers, attached)) = own {
+                compute_share(workers, attached, params, step, batch);
+            }
+        });
+        // lint:end(zero-copy)
+        #[cfg(test)]
+        {
+            self.fanned_rounds += 1;
         }
     }
 
     /// The worker-side receive path for one delivered frame — the sim
     /// twin of `run_worker`'s loop, with the pending buffer restoring
     /// step order over the non-FIFO links.
-    fn worker_receive(&mut self, idx: usize, frame: Vec<u8>) {
+    fn worker_receive(&mut self, idx: usize, frame: Arc<[u8]>) {
         let Some(&kind) = frame.get(4) else { return };
         let w = &mut self.workers[idx];
         if !w.alive {
@@ -533,7 +668,7 @@ impl SimNet {
                     &mut self.links_to_coord[idx],
                     self.now,
                     0,
-                    &ready,
+                    Arc::from(&ready[..]),
                     |frame| Delivery::ToCoord { from: id, frame },
                 );
                 self.drain_pending(idx);
@@ -564,8 +699,9 @@ impl SimNet {
         }
     }
 
-    /// Computes every buffered step the cursor has reached, in order,
-    /// scheduling one `GRAD` per step — and honouring the crash plan.
+    /// Sends every buffered step the cursor has reached, in order, one
+    /// `GRAD` per step — computing those not already computed at
+    /// broadcast time, and honouring the crash plan.
     fn drain_pending(&mut self, idx: usize) {
         loop {
             let w = &mut self.workers[idx];
@@ -575,21 +711,24 @@ impl SimNet {
             let Some(frame) = w.pending.remove(&w.next_slot) else {
                 return;
             };
-            let payload = frame.get(5..).unwrap_or_default();
-            let Ok((step, batch)) = StepMessage::decode_into(payload, &mut w.params) else {
-                return; // locally built frames never fail; belt and braces
+            let step = if w.precomputed == Some(w.next_slot) {
+                // Computed from these very bytes at broadcast time (ring
+                // replays are byte-identical): the peeked step header is
+                // all that is read.
+                w.precomputed = None;
+                w.next_slot
+            } else {
+                let payload = frame.get(5..).unwrap_or_default();
+                let Ok((step, batch)) = StepMessage::decode_into(payload, &mut w.params) else {
+                    return; // locally built frames never fail; belt and braces
+                };
+                let params = std::mem::take(&mut w.params);
+                w.compute_step(&params, step, batch);
+                w.params = params;
+                step
             };
-            let id = w.hw.id();
-            w.hw.compute_into(&w.params, batch as usize, &mut w.out);
             w.next_slot = step + 1;
-            GradientMessage::encode_frame(id, step, &w.out.submitted, &mut w.sub_frame);
-            GradientMessage::encode_frame(id, step, &w.out.pre_noise, &mut w.pre_frame);
-            begin_frame(&mut w.grad_frame, KIND_GRAD);
-            w.grad_frame.put_f64_le(w.out.batch_loss);
-            w.grad_frame.put_u32_le(w.sub_frame.len() as u32);
-            w.grad_frame.put_slice(&w.sub_frame);
-            w.grad_frame.put_slice(&w.pre_frame);
-            end_frame(&mut w.grad_frame);
+            let id = w.hw.id();
             let straggle: u64 = self
                 .grad_delays
                 .iter()
@@ -603,7 +742,7 @@ impl SimNet {
                 &mut self.links_to_coord[idx],
                 self.now,
                 self.compute_ms + straggle,
-                &self.workers[idx].grad_frame,
+                Arc::from(&self.workers[idx].grad_frame[..]),
                 |frame| Delivery::ToCoord { from: id, frame },
             );
             if crash_now {
@@ -641,7 +780,7 @@ impl SimNet {
                 &mut self.links_to_coord[idx],
                 self.now,
                 0,
-                &join,
+                Arc::from(&join[..]),
                 |frame| Delivery::ToCoord { from: id, frame },
             );
         }
@@ -698,12 +837,12 @@ impl SimNet {
                     Phase::Warmup => 0,
                     _ => current_step(phase),
                 };
-                let mut replayed: Vec<Vec<u8>> = Vec::new();
+                let mut replayed: Vec<Arc<[u8]>> = Vec::new();
                 match self.ring.replay_from(start) {
-                    Some(frames) => replayed.extend(frames.map(<[u8]>::to_vec)),
+                    Some(frames) => replayed.extend(frames.map(Arc::from)),
                     None => return, // snapshot already evicted
                 }
-                for frame in &replayed {
+                for frame in replayed {
                     Self::send_frame(
                         &mut self.queue,
                         &mut self.seq,
@@ -734,12 +873,12 @@ impl SimNet {
                 }
                 // Replay the missed broadcasts through the (faulty)
                 // link; the worker's pending buffer restores order.
-                let mut replayed: Vec<Vec<u8>> = Vec::new();
+                let mut replayed: Vec<Arc<[u8]>> = Vec::new();
                 match self.ring.replay_from(next_slot) {
-                    Some(frames) => replayed.extend(frames.map(<[u8]>::to_vec)),
+                    Some(frames) => replayed.extend(frames.map(Arc::from)),
                     None => return, // too far behind to resume
                 }
-                for frame in &replayed {
+                for frame in replayed {
                     Self::send_frame(
                         &mut self.queue,
                         &mut self.seq,
@@ -888,6 +1027,7 @@ impl Transport for SimNet {
         end_frame(&mut self.send);
         self.ring.push(step, &self.send);
         self.broadcast();
+        self.precompute(step);
         self.fire_late_joins(step);
         // Rejoin schedules fire on broadcasts: a dead worker whose
         // trigger step just went out revives and starts its handshake.
@@ -910,7 +1050,7 @@ impl Transport for SimNet {
                     &mut self.links_to_coord[idx],
                     self.now,
                     0,
-                    &rejoin,
+                    Arc::from(&rejoin[..]),
                     |frame| Delivery::ToCoord { from: id, frame },
                 );
             }
@@ -1002,6 +1142,23 @@ impl SimBackend {
         observer: Option<Box<dyn RunObserver>>,
         scratch: &mut RunScratch,
     ) -> Result<RunHistory, PipelineError> {
+        let (mut net, core, machine_cfg) = self.assemble(exp, seed, plan, observer, scratch)?;
+        drive(&mut net, core, machine_cfg, seed, scratch).map_err(|e| match e {
+            CoordinatorError::Gar(g) => PipelineError::Gar(g),
+            other => PipelineError::Spec(format!("sim backend: {other}")),
+        })
+    }
+
+    /// Builds the simulator, the coordinator's core and its machine
+    /// configuration for one run over `plan`, ready to [`drive`].
+    fn assemble(
+        &self,
+        exp: &Experiment,
+        seed: u64,
+        plan: &FaultPlan,
+        observer: Option<Box<dyn RunObserver>>,
+        scratch: &mut RunScratch,
+    ) -> Result<(SimNet, ServerCore, MachineConfig), PipelineError> {
         let (n_honest, min_workers, quorum) =
             crate::backend::resolve_deployment("sim", exp, self.min_workers, self.quorum)?;
         if plan.to_worker.len() != n_honest {
@@ -1026,7 +1183,7 @@ impl SimBackend {
             step_deadline_ms: self.step_timeout_ms,
             staleness_window,
         };
-        let mut net = SimNet::new(
+        let net = SimNet::new(
             workers,
             plan,
             seed,
@@ -1034,10 +1191,7 @@ impl SimBackend {
             self.resume_window,
             staleness_window,
         );
-        drive(&mut net, core, machine_cfg, seed, scratch).map_err(|e| match e {
-            CoordinatorError::Gar(g) => PipelineError::Gar(g),
-            other => PipelineError::Spec(format!("sim backend: {other}")),
-        })
+        Ok((net, core, machine_cfg))
     }
 }
 
@@ -1080,6 +1234,104 @@ pub fn install() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpbyz_dp::PrivacyBudget;
+
+    const STEPS: u32 = 5;
+
+    /// Theorem 1 mean estimation at dimension `dim` with the large-d
+    /// benchmark's ALIE-vs-median cell: 6 honest workers, DP noise on.
+    fn theorem1(dim: usize) -> Experiment {
+        let budget = PrivacyBudget::new(0.2, 1e-6).unwrap();
+        let mut exp = Experiment::theorem1(dim, 1.0, Some(budget), STEPS, 1, 11).unwrap();
+        exp.attack = Some(ComponentSpec::new("alie"));
+        exp.gar = ComponentSpec::new("median");
+        exp.config.n_byzantine = 5;
+        exp
+    }
+
+    /// One run over `plan` with the fan-out width pinned to `width`;
+    /// returns the history and the number of fanned-out broadcasts.
+    fn run_at_width(
+        backend: &SimBackend,
+        exp: &Experiment,
+        plan: &FaultPlan,
+        width: usize,
+    ) -> (RunHistory, u32) {
+        let seed = 23;
+        let mut scratch = RunScratch::new();
+        let (mut net, core, cfg) = backend
+            .assemble(exp, seed, plan, None, &mut scratch)
+            .unwrap();
+        net.width = width;
+        let history = drive(&mut net, core, cfg, seed, &mut scratch).unwrap();
+        (history, net.fanned_rounds)
+    }
+
+    /// Splitting the ready workers across threads is invisible to the
+    /// run: under seeded chaos and under a crash-and-rejoin schedule
+    /// (whose replays compute on delivery), every width reproduces the
+    /// serial history bit for bit.
+    #[test]
+    fn every_fanout_width_reproduces_the_serial_history() {
+        let exp = theorem1(FANOUT_MIN_DIM);
+        let n = exp.config.n_honest();
+        let backend =
+            SimBackend::from_spec(&ComponentSpec::new("sim").with("quorum", (n - 1) as u64));
+        let plans = [
+            FaultPlan::from_seed(5, n),
+            FaultPlan::from_seed(8, n).with_crash(n as u32 - 1, 1, 3),
+        ];
+        for (p, plan) in plans.iter().enumerate() {
+            let (serial, fanned) = run_at_width(&backend, &exp, plan, 1);
+            assert_eq!(fanned, 0, "plan {p}: width 1 must stay serial");
+            assert_eq!(
+                serial.churn.dropped_rounds[n - 1] > 0,
+                p == 1,
+                "plan {p}: only the crash plan drops rounds"
+            );
+            for width in [2, 3, 6] {
+                let (history, fanned) = run_at_width(&backend, &exp, plan, width);
+                assert!(fanned > 0, "plan {p}, width {width}: never fanned out");
+                assert_eq!(history, serial, "plan {p}, width {width}: diverged");
+            }
+        }
+    }
+
+    /// The fan-out engages exactly from the crossover dimension: every
+    /// crash-free broadcast has all six workers ready, so each one fans
+    /// out at `FANOUT_MIN_DIM` and none does one coordinate below it.
+    #[test]
+    fn fanout_engages_from_the_crossover_dimension() {
+        let backend = SimBackend::from_spec(&ComponentSpec::new("sim"));
+        for (dim, expected) in [(FANOUT_MIN_DIM, STEPS), (FANOUT_MIN_DIM - 1, 0)] {
+            let exp = theorem1(dim);
+            let plan = FaultPlan::from_seed(3, exp.config.n_honest());
+            let (_, fanned) = run_at_width(&backend, &exp, &plan, 2);
+            assert_eq!(fanned, expected, "d = {dim}");
+        }
+    }
+
+    /// A worker whose step-2 `STEP` is held in a partition past the
+    /// round-2 deadline is still behind when step 3 goes out, so it must
+    /// not compute step 3 at broadcast time: it computes both steps on
+    /// delivery, in order. Its step-2 report then misses its round, which
+    /// is exactly a straggler whose step-2 report arrives late.
+    #[test]
+    fn a_worker_behind_the_broadcast_computes_on_delivery() {
+        let exp = theorem1(FANOUT_MIN_DIM);
+        let n = exp.config.n_honest();
+        let w = n - 1;
+        let backend =
+            SimBackend::from_spec(&ComponentSpec::new("sim").with("quorum", (n - 1) as u64));
+        let straggler_plan = FaultPlan::clean(n).with_grad_delay(w as u32, 2, 2, 20_000);
+        let (straggler, _) = run_at_width(&backend, &exp, &straggler_plan, 2);
+        let mut held_plan = FaultPlan::clean(n);
+        held_plan.to_worker[w].partitions = vec![(6, 12_000)];
+        let (held, fanned) = run_at_width(&backend, &exp, &held_plan, 2);
+        assert_eq!(held.churn.dropped_rounds[w], 1, "only round 2 is missed");
+        assert_eq!(fanned, STEPS, "the other workers still fan out");
+        assert_eq!(held, straggler);
+    }
 
     #[test]
     fn fault_plans_are_pure_functions_of_the_seed() {
